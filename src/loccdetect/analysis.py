@@ -1,15 +1,19 @@
 """Error probabilities and bounds for detecting a known pure state.
 
 The central computation is the exact worst case of a fixed accept effect T
-over all states with bounded overlap against the target:
+over all states with bounded overlap against the target psi:
 
     sup { Tr T sigma : sigma >= 0, Tr sigma = 1, Tr rho sigma <= theta }.
 
-By Lagrangian duality this equals min_{mu >= 0} lambda_max(T - mu rho)
-+ mu theta, a convex scalar problem solved by golden-section search; the
-primal maximizer is rebuilt from the top eigenvector at the optimum and the
-duality gap is checked.  Around that sit the closed-form upper and lower
-bounds for the constructed measurements and the report assembling them.
+One eigensolve of T compressed onto the complement of psi gives its top
+eigenvalue m.  When psi is an eigenvector of T with eigenvalue p, as for
+every named measurement except the product test, the answer is
+m + theta max(0, p - m) in closed form.  Any other effect goes to the
+Lagrangian dual min_{mu >= 0} lambda_max(T - mu rho) + mu theta, a convex
+scalar problem solved by golden-section search; the primal maximizer is
+rebuilt from the top eigenvector at the optimum.  Both paths check the
+duality gap.  Around that sit the closed-form upper and lower bounds for
+the constructed measurements and the report assembling them.
 """
 
 from __future__ import annotations
@@ -32,19 +36,33 @@ from .twirl import twirl_defect
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Step cap of golden_section_min; a relative width of 1e-10 on a bracket of
+#: 2e6 takes about 80 steps.
+GOLDEN_MAX_STEPS = 200
+
 
 def golden_section_min(f, lo: float, hi: float, tol: float):
     """Golden-section minimization of a unimodal f on [lo, hi].
 
-    Shrinks the bracket to width ``tol`` and returns (argmin, f(argmin)) at
-    the final midpoint.  Boundary minima are handled since the bracket never
-    leaves [lo, hi].
+    Shrinks the bracket until its width is at most ``tol * max(1, |a| + |b|)``
+    and returns (argmin, f(argmin)) at the final midpoint, or at ``lo`` when
+    f(lo) is no worse there, so a minimum on the lower boundary is exact.
+    The relative width keeps the loop finite where the float spacing of a
+    large bracket exceeds ``tol``; more than GOLDEN_MAX_STEPS steps raise
+    NumericalFailureError.
     """
     a, b = float(lo), float(hi)
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    steps = 0
+    while b - a > tol * max(1.0, abs(a) + abs(b)):
+        steps += 1
+        if steps > GOLDEN_MAX_STEPS:
+            raise NumericalFailureError(
+                f"golden-section search did not reach width {tol:g} in {GOLDEN_MAX_STEPS} steps "
+                f"(bracket [{a!r}, {b!r}])"
+            )
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
@@ -54,7 +72,11 @@ def golden_section_min(f, lo: float, hi: float, tol: float):
             x2 = a + _INVPHI * (b - a)
             f2 = f(x2)
     mid = 0.5 * (a + b)
-    return mid, f(mid)
+    f_mid = f(mid)
+    f_lo = f(float(lo))
+    if f_lo <= f_mid:
+        return float(lo), f_lo
+    return mid, f_mid
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +127,13 @@ def _complement_basis(ket: np.ndarray) -> np.ndarray:
     return q[:, 1:dim]
 
 
+def _complement_top(tm: np.ndarray, ket: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenvalue m and eigenvector chi of T compressed onto ket's complement."""
+    basis = _complement_basis(ket)
+    cw, cv = np.linalg.eigh(basis.conj().T @ tm @ basis)
+    return float(cw[-1]), basis @ cv[:, -1]
+
+
 def _retune_overlap(v: np.ndarray, ket: np.ndarray, theta: float) -> np.ndarray | None:
     """Re-weight v's components along/orthogonal to ket to overlap theta."""
     along = complex(np.vdot(ket, v))
@@ -148,15 +177,19 @@ def _eigenspace_candidates(values, vectors, ket: np.ndarray, theta: float) -> li
 def worst_case_value(t: BipartiteOperator, rho: BipartiteOperator, theta: float) -> AdversaryResult:
     """Exact sup of Tr T sigma over states with Tr rho sigma <= theta.
 
-    theta = 0 restricts the adversary to the orthogonal complement of the
-    target, where the answer is the top eigenvalue of the compressed effect.
-    For theta > 0 the convex dual g(mu) = lambda_max(T - mu rho) + mu theta
-    is minimized by golden-section search on [0, 2 ||T|| / max(theta, 1e-6)]
-    to bracket width 1e-10.  The primal state is taken as the best of the
-    top eigenvector at the optimal mu (mixed with the target only as needed
-    to meet the constraint with equality) and the always-feasible mixture
-    theta * rho + (1 - theta) |chi><chi| with chi the top complement
-    eigenvector; a duality gap above 1e-6 raises NumericalFailureError.
+    Let m be the top eigenvalue of T compressed onto the complement of the
+    target psi, with eigenvector chi.  theta = 0 restricts the adversary to
+    that complement, so the answer is m with sigma* = |chi><chi|.
+
+    For theta > 0, when psi is an eigenvector of T (T psi = p psi up to
+    1e-12 max(1, ||T||), as for every named effect except ``product``), the
+    answer is m + theta max(0, p - m) in closed form.  sigma* is theta rho
+    + (1 - theta) |chi><chi| when p >= m and |chi><chi| otherwise, and the
+    optimal multiplier is max(0, p - m), read as 0 within the same scale.
+
+    Any other effect goes to the convex dual g(mu) = lambda_max(T - mu rho)
+    + mu theta, minimized by golden-section search (see _dual_worst_case).
+    On both paths a primal-dual gap above 1e-6 raises NumericalFailureError.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValidationError(f"theta must lie in [0, 1], got {theta!r}")
@@ -167,13 +200,8 @@ def worst_case_value(t: BipartiteOperator, rho: BipartiteOperator, theta: float)
             f"[{verdict.min_eigenvalue:.3e}, {verdict.max_eigenvalue:.6f}]"
         )
     tm = t.matrix
-    rm = rho.matrix
     ket = _pure_ket(rho)
-    basis = _complement_basis(ket)
-    compressed = basis.conj().T @ tm @ basis
-    cw, cv = np.linalg.eigh(compressed)
-    chi = basis @ cv[:, -1]
-    restricted_top = float(cw[-1])
+    restricted_top, chi = _complement_top(tm, ket)
 
     if theta == 0.0:
         sigma = np.outer(chi, chi.conj())
@@ -183,10 +211,60 @@ def worst_case_value(t: BipartiteOperator, rho: BipartiteOperator, theta: float)
             dual_mu=math.inf,
         )
 
+    op_norm = max(abs(verdict.min_eigenvalue), abs(verdict.max_eigenvalue))
+    t_ket = tm @ ket
+    p = float(np.real(np.vdot(ket, t_ket)))
+    scale = 1e-12 * max(1.0, op_norm)
+    if float(np.linalg.norm(t_ket - p * ket)) > scale:
+        return _dual_worst_case(t, rho, theta, ket, chi, op_norm)
+
+    excess = p - restricted_top
+    mu = excess if excess > scale else 0.0
+    value = restricted_top + theta * mu
+    sigma = np.outer(chi, chi.conj())
+    if excess >= 0.0:
+        sigma = theta * rho.matrix + (1.0 - theta) * sigma
+    _check_gap(value, float(np.real(np.vdot(sigma, tm))))
+    return AdversaryResult(
+        value=value,
+        sigma_star=BipartiteOperator(t.local_dim, 0.5 * (sigma + sigma.conj().T)),
+        dual_mu=mu,
+    )
+
+
+def _check_gap(dual: float, primal: float) -> None:
+    gap = dual - primal
+    if gap > 1e-6:
+        raise NumericalFailureError(
+            f"primal-dual gap {gap:.3e} exceeds 1e-6 (dual {dual!r}, primal {primal!r})"
+        )
+
+
+def _dual_worst_case(
+    t: BipartiteOperator,
+    rho: BipartiteOperator,
+    theta: float,
+    ket: np.ndarray,
+    chi: np.ndarray,
+    op_norm: float,
+) -> AdversaryResult:
+    """Worst case for theta > 0 from the convex dual, for any effect.
+
+    g(mu) = lambda_max(T - mu rho) + mu theta is minimized by golden-section
+    search on [0, 2 ||T|| / max(theta, 1e-6)] to relative bracket width
+    1e-10.  ``ket`` is the target vector and ``chi`` the top eigenvector of
+    T on its complement.  The primal state is taken as the best of the top
+    eigenvector at the optimal mu (mixed with the target only as needed to
+    meet the constraint with equality), the eigenspace mixtures of
+    _eigenspace_candidates and the always-feasible mixture theta * rho +
+    (1 - theta) |chi><chi|.
+    """
+    tm = t.matrix
+    rm = rho.matrix
+
     def dual(mu: float) -> float:
         return float(np.linalg.eigvalsh(tm - mu * rm)[-1]) + mu * theta
 
-    op_norm = float(np.abs(np.linalg.eigvalsh(tm)).max())
     mu_hi = 2.0 * op_norm / max(theta, 1e-6)
     mu_star, value = golden_section_min(dual, 0.0, mu_hi, tol=1e-10)
 
@@ -205,11 +283,7 @@ def worst_case_value(t: BipartiteOperator, rho: BipartiteOperator, theta: float)
     candidates.extend(_eigenspace_candidates(values, vectors, ket, theta))
     scores = [float(np.real(np.trace(tm @ c))) for c in candidates]
     best = int(np.argmax(scores))
-    gap = value - scores[best]
-    if gap > 1e-6:
-        raise NumericalFailureError(
-            f"primal-dual gap {gap:.3e} exceeds 1e-6 (dual {value!r}, primal {scores[best]!r})"
-        )
+    _check_gap(value, scores[best])
     sigma = 0.5 * (candidates[best] + candidates[best].conj().T)
     return AdversaryResult(
         value=value,

@@ -24,7 +24,7 @@ from .asymptotics import (
     rate_table,
 )
 from .errors import NumericalFailureError, ValidationError
-from .measurements import build_measurement
+from .measurements import MEASUREMENT_NAMES, build_measurement
 from .operators import BipartiteOperator, read_operator, validate_povm_element, write_operator
 from .simulator import SIMULATABLE, ShotConfig, make_sigma, simulate
 from .states import make_spectrum, schmidt_state
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schmidt", required=True, help="comma-separated coefficients, e.g. 0.6,0.4")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--measurement", default="t-tilde",
-                   choices=["q0", "q", "r", "t-mu", "t-tilde", "t-tilde2", "product", "helstrom"])
+                   choices=list(MEASUREMENT_NAMES))
     p.add_argument("--mu", type=float, help="mixture weight for t-mu")
     p.add_argument("--priors", type=float, help="prior pi0 of the target hypothesis")
     add_common(p)
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schmidt", required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--measurement", default="t-tilde",
-                   choices=["q0", "q", "r", "t-mu", "t-tilde", "t-tilde2", "product", "helstrom"])
+                   choices=list(MEASUREMENT_NAMES))
     p.add_argument("--measurement-file", help="operator file overriding --measurement")
     p.add_argument("--mu", type=float)
     p.add_argument("--sigma-out", default="sigma_star.json", help="operator file for sigma*")

@@ -148,7 +148,10 @@ def simulate(config: ShotConfig) -> SimResult:
     d = s.d
     sigma = config.sigma.matrix
     effect = build_measurement(name, s)
-    analytic = float(np.real(np.trace(effect.operator.matrix @ sigma)))
+    # Snapped like the conditionals, so an acceptance that prints as 1 also
+    # gets the zero half width that 1 implies.
+    raw = float(np.real(np.trace(effect.operator.matrix @ sigma)))
+    analytic = float(_snap_conditionals(np.array([raw]))[0])
 
     mu = effect.mu if name in ("t-tilde", "t-tilde2") else None
     need_matched = name in ("r", "t-tilde", "t-tilde2")

@@ -3,16 +3,24 @@
 import numpy as np
 import pytest
 
+from loccdetect import analysis
 from loccdetect.analysis import (
     error_report,
+    golden_section_min,
     helstrom_error,
     prior_weighted_worst_case,
     verify_blind_spot_bound,
     verify_ppt_trace_bound,
     worst_case_value,
 )
-from loccdetect.errors import ContractError, ValidationError
-from loccdetect.measurements import build_reference, build_t_tilde, build_t_tilde2
+from loccdetect.errors import ContractError, NumericalFailureError, ValidationError
+from loccdetect.measurements import (
+    MEASUREMENT_NAMES,
+    build_measurement,
+    build_reference,
+    build_t_tilde,
+    build_t_tilde2,
+)
 from loccdetect.operators import BipartiteOperator
 from loccdetect.states import make_spectrum, schmidt_state, uniform_spectrum
 from loccdetect.twirl import random_phi_symmetric_ppt
@@ -144,6 +152,91 @@ def test_worst_case_never_beaten_by_random_search(seed):
         adv = worst_case_value(t, st.density, theta)
         brute = feasible_random_search(t.matrix, st.ket, theta, rng, trials=2000)
         assert brute <= adv.value + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# golden_section_min and the worst case over every named effect
+# ---------------------------------------------------------------------------
+
+
+def test_golden_section_boundary_minimum_is_exact():
+    assert golden_section_min(lambda x: x + 1.0, 0.0, 1.0, tol=1e-10) == (0.0, 1.0)
+
+
+def test_golden_section_raises_at_step_cap():
+    # A zero tolerance is never met once the bracket is two adjacent floats.
+    with pytest.raises(NumericalFailureError):
+        golden_section_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0, tol=0.0)
+
+
+THETAS = np.linspace(0.0, 1.0, 11)
+#: Every named effect but product accepts the target with certainty, so the
+#: target is an eigenvector and the closed form applies.
+EIGENVECTOR_NAMES = tuple(n for n in MEASUREMENT_NAMES if n != "product")
+PROPERTY_SPECTRA = {d: random_spectrum(np.random.default_rng(40 + d), d) for d in (2, 3, 4)}
+
+
+def named_effect(name, s):
+    if name == "corpus":
+        return random_phi_symmetric_ppt(s.d, 7)
+    return build_measurement(name, s, mu=0.3 if name == "t-mu" else None).operator
+
+
+def forced_dual(t, rho, theta):
+    """The golden-section dual, bypassing the eigenvector closed form."""
+    ket = analysis._pure_ket(rho)
+    _, chi = analysis._complement_top(t.matrix, ket)
+    op_norm = float(np.abs(np.linalg.eigvalsh(t.matrix)).max())
+    return analysis._dual_worst_case(t, rho, theta, ket, chi, op_norm)
+
+
+@pytest.mark.parametrize("d", sorted(PROPERTY_SPECTRA))
+@pytest.mark.parametrize("name", MEASUREMENT_NAMES + ("corpus",))
+def test_worst_case_properties_on_theta_grid(name, d):
+    s = PROPERTY_SPECTRA[d]
+    st = schmidt_state(s)
+    t = named_effect(name, s)
+    results = [worst_case_value(t, st.density, float(theta)) for theta in THETAS]
+    values = np.array([r.value for r in results])
+    assert values.max() <= np.linalg.eigvalsh(t.matrix)[-1] + 1e-12
+    assert np.diff(values).min() >= -1e-9
+    assert (values[:-2] - 2.0 * values[1:-1] + values[2:]).max() <= 1e-9
+    if name not in EIGENVECTOR_NAMES:
+        return
+    p = float(np.real(np.vdot(st.ket, t.matrix @ st.ket)))
+    m, _ = analysis._complement_top(t.matrix, st.ket)
+    for theta, res in zip(THETAS[1:], results[1:]):
+        assert abs(res.dual_mu - max(0.0, p - m)) <= 1e-12
+        assert abs(res.value - forced_dual(t, st.density, float(theta)).value) <= 1e-8
+
+
+def test_worst_case_searches_only_for_product(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return golden_section_min(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "golden_section_min", counting)
+    for s in PROPERTY_SPECTRA.values():
+        rho = schmidt_state(s).density
+        for name in EIGENVECTOR_NAMES:
+            t = named_effect(name, s)
+            for theta in THETAS[1:]:
+                worst_case_value(t, rho, float(theta))
+    assert calls == []
+    worst_case_value(named_effect("product", S64), schmidt_state(S64).density, 0.3)
+    assert len(calls) == 1
+
+
+def test_worst_case_closed_form_prints_zero_multiplier():
+    # q0 and r have m = p = 1: the multiplier is exactly 0, not roundoff.
+    s = make_spectrum([0.4, 0.3, 0.2, 0.1], 4)
+    rho = schmidt_state(s).density
+    for name in ("q0", "r"):
+        adv = worst_case_value(named_effect(name, s), rho, 0.3)
+        assert adv.dual_mu == 0.0
+        assert f"{adv.value:.12g}" == "1"
 
 
 # ---------------------------------------------------------------------------

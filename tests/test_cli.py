@@ -1,9 +1,13 @@
 """Command-line interface: outputs, formats, exit codes, round trips."""
 
+import math
+import signal
+
 import numpy as np
 import pytest
 
 from loccdetect.cli import run
+from loccdetect.measurements import MEASUREMENT_NAMES
 
 
 def run_capture(capsys, argv):
@@ -200,3 +204,52 @@ def test_metadata_echo(capsys):
     )
     assert "# seed = 42" in out
     assert "shots=10" in out
+
+
+@pytest.mark.parametrize("name", MEASUREMENT_NAMES)
+def test_bounds_and_adversary_accept_every_measurement(name, tmp_path, capsys):
+    extra = ["--measurement", name] + (["--mu", "0.3"] if name == "t-mu" else [])
+    common = ["--schmidt", "0.6,0.4", "--theta", "0.3"] + extra
+    code, out = run_capture(capsys, ["bounds"] + common)
+    assert code == 0
+    assert "worst_case_value" in parse_records(out)
+    sigma_out = str(tmp_path / "sigma.json")
+    code, out = run_capture(capsys, ["adversary"] + common + ["--sigma-out", sigma_out])
+    assert code == 0
+    assert "value" in parse_records(out)
+
+
+def test_bounds_product_tiny_theta_terminates(capsys):
+    # The dual search once looped forever here: near mu = 2e6 the float
+    # spacing exceeds an absolute bracket width of 1e-10.
+    def on_alarm(signum, frame):
+        raise TimeoutError("bounds did not return within 3 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(3)
+    try:
+        code, out = run_capture(
+            capsys,
+            ["bounds", "--schmidt", "0.5,0.5", "--theta", "1e-15", "--measurement", "product"],
+        )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    theta, lam = 1e-15, 0.5
+    exact = (math.sqrt(theta * lam) + math.sqrt((1.0 - theta) * (1.0 - lam))) ** 2
+    assert abs(float(parse_records(out)["worst_case_value"]) - exact) <= 1e-7
+
+
+def test_adversary_product_boundary_optimum_is_exact(tmp_path, capsys):
+    code, out = run_capture(
+        capsys,
+        [
+            "adversary", "--schmidt", "0.6,0.4", "--theta", "0.8", "--measurement", "product",
+            "--sigma-out", str(tmp_path / "sigma.json"),
+        ],
+    )
+    assert code == 0
+    fields = parse_records(out)
+    assert fields["value"] == "1"
+    assert fields["dual_mu"] == "0"

@@ -136,3 +136,13 @@ def test_worst_case_sigma_matches_adversary_value():
     res = simulate(ShotConfig("t-tilde", S64, sigma, N, 9))
     assert abs(res.analytic - adv.value) <= 1e-6
     assert abs(res.estimate - res.analytic) <= res.ci_halfwidth
+
+
+def test_analytic_near_one_is_snapped():
+    # Acceptance 1 - 1e-15 prints as 1, so its half width must be 0 too.
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = 1.0 - 1e-15
+    m[1, 1] = 1e-15
+    res = simulate(ShotConfig("r", S64, BipartiteOperator(2, m), 1000, 3))
+    assert res.analytic == 1.0
+    assert res.ci_halfwidth == 0.0
