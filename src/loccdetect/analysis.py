@@ -8,10 +8,13 @@ over all states with bounded overlap against the target psi:
 One eigensolve of T compressed onto the complement of psi gives its top
 eigenvalue m.  When psi is an eigenvector of T with eigenvalue p, as for
 every named measurement except the product test, the answer is
-m + theta max(0, p - m) in closed form.  Any other effect goes to the
+m + theta max(0, p - m) in closed form.  When T = t |a><a| has rank one,
+as for the product test, the triangle inequality for the angles between
+pure states gives t (sqrt(theta p) + sqrt((1 - theta)(1 - p)))^2 with
+p = |<a|psi>|^2 (t when theta >= p).  Any other effect goes to the
 Lagrangian dual min_{mu >= 0} lambda_max(T - mu rho) + mu theta, a convex
 scalar problem solved by golden-section search; the primal maximizer is
-rebuilt from the top eigenvector at the optimum.  Both paths check the
+rebuilt from the top eigenvector at the optimum.  Every path checks the
 duality gap.  Around that sit the closed-form upper and lower bounds for
 the constructed measurements and the report assembling them.
 """
@@ -187,9 +190,12 @@ def worst_case_value(t: BipartiteOperator, rho: BipartiteOperator, theta: float)
     + (1 - theta) |chi><chi| when p >= m and |chi><chi| otherwise, and the
     optimal multiplier is max(0, p - m), read as 0 within the same scale.
 
-    Any other effect goes to the convex dual g(mu) = lambda_max(T - mu rho)
-    + mu theta, minimized by golden-section search (see _dual_worst_case).
-    On both paths a primal-dual gap above 1e-6 raises NumericalFailureError.
+    Otherwise, when T has rank one (Tr T - lambda_max(T) within the same
+    scale, as for ``product``), the answer is the closed form of
+    _rank_one_worst_case.  Any other effect goes to the convex dual
+    g(mu) = lambda_max(T - mu rho) + mu theta, minimized by golden-section
+    search (see _dual_worst_case).  On every path a primal-dual gap above
+    1e-6 raises NumericalFailureError.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValidationError(f"theta must lie in [0, 1], got {theta!r}")
@@ -216,6 +222,11 @@ def worst_case_value(t: BipartiteOperator, rho: BipartiteOperator, theta: float)
     p = float(np.real(np.vdot(ket, t_ket)))
     scale = 1e-12 * max(1.0, op_norm)
     if float(np.linalg.norm(t_ket - p * ket)) > scale:
+        trace = float(np.real(np.trace(tm)))
+        if trace - verdict.max_eigenvalue <= scale:
+            result = _rank_one_worst_case(t, ket, theta, verdict.max_eigenvalue)
+            if result is not None:
+                return result
         return _dual_worst_case(t, rho, theta, ket, chi, op_norm)
 
     excess = p - restricted_top
@@ -230,6 +241,41 @@ def worst_case_value(t: BipartiteOperator, rho: BipartiteOperator, theta: float)
         sigma_star=BipartiteOperator(t.local_dim, 0.5 * (sigma + sigma.conj().T)),
         dual_mu=mu,
     )
+
+
+def _rank_one_worst_case(
+    t: BipartiteOperator, ket: np.ndarray, theta: float, top: float
+) -> AdversaryResult | None:
+    """Worst case of a rank-one effect T = t |a><a| for 0 < theta <= 1.
+
+    a is the normalized column of T with the largest diagonal entry and
+    p = |<a|psi>|^2.  By the triangle inequality for the angles between
+    pure states, the largest |<a|phi>|^2 over Tr rho |phi><phi| <= theta is
+    1 when theta >= p and g^2 otherwise, g = sqrt(theta p) + sqrt((1 - theta)
+    (1 - p)); the optimal state is |a><a| or a re-weighted to overlap theta,
+    and the multiplier is dv/dtheta = t g (sqrt(p/theta) -
+    sqrt((1 - p)/(1 - theta))).  Returns None when a is (numerically)
+    parallel to the target, so the caller falls back to the dual.
+    """
+    tm = t.matrix
+    col = tm[:, int(np.argmax(np.real(np.diag(tm))))]
+    norm = float(np.linalg.norm(col))
+    if norm == 0.0:
+        return None
+    a = col / norm
+    p = min(1.0, abs(complex(np.vdot(a, ket))) ** 2)
+    if theta >= p:
+        value, mu, vec = top, 0.0, a
+    else:
+        vec = _retune_overlap(a, ket, theta)
+        if vec is None:
+            return None
+        g = math.sqrt(theta * p) + math.sqrt((1.0 - theta) * (1.0 - p))
+        value = top * g * g
+        mu = top * g * (math.sqrt(p / theta) - math.sqrt((1.0 - p) / (1.0 - theta)))
+    sigma = np.outer(vec, vec.conj())
+    _check_gap(value, float(np.real(np.vdot(sigma, tm))))
+    return AdversaryResult(value=value, sigma_star=BipartiteOperator(t.local_dim, sigma), dual_mu=mu)
 
 
 def _check_gap(dual: float, primal: float) -> None:

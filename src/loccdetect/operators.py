@@ -219,7 +219,7 @@ FILE_FORMAT_TAG = "bipartite-operator"
 
 def operator_to_json(t: BipartiteOperator) -> str:
     flat = t.matrix.reshape(-1)
-    entries = [[float(z.real), float(z.imag)] for z in flat]
+    entries = np.stack([flat.real, flat.imag], 1).tolist()
     doc = {"format": FILE_FORMAT_TAG, "local_dim": t.local_dim, "entries": entries}
     if t.meta:
         doc["meta"] = t.meta
@@ -237,12 +237,16 @@ def operator_from_json(text: str) -> BipartiteOperator:
     entries = doc["entries"]
     if not isinstance(d, int) or d < 2:
         raise ValidationError(f"local_dim must be an integer >= 2, got {d!r}")
-    if len(entries) != d**4:
+    try:
+        pairs = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"operator entries must be [re, im] number pairs: {exc}") from exc
+    if pairs.shape != (d**4, 2):
         raise ValidationError(
-            f"expected {d**4} entries for local_dim {d}, got {len(entries)}"
+            f"expected {d**4} [re, im] entries for local_dim {d}, got an array of shape {pairs.shape}"
         )
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    matrix = flat.reshape(d * d, d * d)
+    # A view keeps each part's bits, including the sign of -0.0.
+    matrix = pairs.view(complex).reshape(d * d, d * d)
     meta = doc.get("meta", {})
     return BipartiteOperator(d, matrix, meta=meta if isinstance(meta, dict) else {})
 

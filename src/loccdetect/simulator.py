@@ -17,10 +17,14 @@ Each named measurement is realized operationally:
 * ``product``  both parties test |0> and accept iff both succeed.
 
 Outcome sampling always uses exact Born marginals and conditionals computed
-from the (conjugated) density matrix, so the acceptance frequency is an
-unbiased estimate of Tr T sigma.  A root seed deterministically derives one
-child stream per fixed-size shot batch, so parallel batch execution would
-reproduce the serial tally bit for bit.
+from the density matrix, so the acceptance frequency is an unbiased estimate
+of Tr T sigma.  They are tabulated once per state (``OutcomeTables``): for
+each phase rotation w, Alice's outcome law comes from her d x d reduced
+state and Bob's conditional acceptance from the product vectors
+(w * phi_j) (x) (conj(w) * xi_j), and the p rotations sharing one power of
+u are evaluated as one matrix product with sigma.  A root seed
+deterministically derives one child stream per fixed-size shot batch, so
+parallel batch execution would reproduce the serial tally bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .analysis import worst_case_value
 from .errors import ValidationError
-from .measurements import build_measurement, fourier_basis, matched_vectors, swap_operator
+from .measurements import build_measurement, fourier_basis, matched_vectors
 from .operators import BipartiteOperator, require_density_matrix
 from .states import SchmidtSpectrum, schmidt_state
 from .twirl import twirl_unitary_diagonals
@@ -76,42 +80,105 @@ def _snap_conditionals(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _fourier_contexts(sigma: np.ndarray, d: int, s: SchmidtSpectrum):
-    """Alice marginal and Bob conditional acceptance for one state."""
-    phi = fourier_basis(d)
-    xi = matched_vectors(s)
-    sig4 = sigma.reshape(d, d, d, d)
-    alice_reduced = np.trace(sig4, axis1=1, axis2=3)
-    marginal = np.real(np.einsum("aj,ac,cj->j", phi.conj(), alice_reduced, phi))
+def _rotation_contexts(sigma: np.ndarray, s: SchmidtSpectrum, rotations: np.ndarray):
+    """Alice's outcome cumulatives and Bob's conditional acceptance, per rotation.
+
+    Row r of ``rotations`` is the diagonal w of one phase rotation, under
+    which Alice measures the vectors y_j = w * phi_j and Bob tests
+    conj(w) * xi_j.  All rotations of a chunk are one matrix product: the
+    product vectors x_rj = y_rj (x) (conj(w_r) * xi_j) are the columns of X,
+    and the joint probabilities are Re sum_rows conj(X) * (sigma X).
+    Alice's marginal needs only her reduced state, since Bob's phase cancels
+    in the partial trace.
+    """
+    n, d = rotations.shape
+    alice_reduced = np.trace(sigma.reshape(d, d, d, d), axis1=1, axis2=3)
+    y = rotations[:, :, None] * fourier_basis(d)[None, :, :]
+    bob = rotations.conj()[:, :, None] * matched_vectors(s)[None, :, :]
+    x = (y[:, :, None, :] * bob[:, None, :, :]).transpose(1, 2, 0, 3).reshape(d * d, n * d)
+    joint = np.real(np.sum(x.conj() * (sigma @ x), axis=0)).reshape(n, d)
+    marginal = np.real(np.sum(y.conj() * (alice_reduced @ y), axis=1))
     marginal = np.clip(marginal, 0.0, None)
-    total = marginal.sum()
-    marginal = marginal / total if total > 0 else np.full(d, 1.0 / d)
-    joint = np.empty(d)
-    for j in range(d):
-        w = np.kron(phi[:, j], xi[:, j])
-        joint[j] = float(np.real(np.vdot(w, sigma @ w)))
+    # Each row sums to Tr sigma = 1 before clipping, so total > 0.
+    total = marginal.sum(axis=1, keepdims=True)
+    marginal = marginal / total
     with np.errstate(divide="ignore", invalid="ignore"):
         conditional = np.where(marginal > 0, joint / np.maximum(marginal * total, 1e-300), 0.0)
-    return np.cumsum(marginal), _snap_conditionals(conditional)
+    return np.cumsum(marginal, axis=1), _snap_conditionals(conditional)
 
 
 def _twirled_contexts(sigma: np.ndarray, d: int, s: SchmidtSpectrum):
-    """Per-(k, l) Fourier contexts for the phase-rotated states."""
+    """Contexts of the p^2 phase rotations w = u^k z^l, row k p + l.
+
+    One matrix product per k covers its p rotations; a single product over
+    all p^2 would hold a D x p^2 d matrix at once.
+    """
     p, z, u = twirl_unitary_diagonals(d)
     cums = np.empty((p * p, d))
     conds = np.empty((p * p, d))
     for k in range(p):
-        for l in range(p):
-            w = u**k * z**l
-            v = np.kron(w, w.conj())
-            rotated = v.conj()[:, None] * sigma * v[None, :]
-            cums[k * p + l], conds[k * p + l] = _fourier_contexts(rotated, d, s)
+        rotations = np.array([u**k * z**l for l in range(p)])
+        rows = slice(k * p, (k + 1) * p)
+        cums[rows], conds[rows] = _rotation_contexts(sigma, s, rotations)
     return p, cums, conds
+
+
+def _swap_parties(sigma: np.ndarray, d: int) -> np.ndarray:
+    # Exact index permutation: entry (ij, kl) moves to (ji, lk).
+    return sigma.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
 
 
 def _matched_cumulative(sigma: np.ndarray) -> np.ndarray:
     diag = np.clip(np.real(np.diag(sigma)), 0.0, None)
     return np.cumsum(diag / diag.sum())
+
+
+@dataclass
+class OutcomeTables:
+    """The finite outcome law a protocol samples from, cell by cell.
+
+    ``matched_cum`` is the cumulative law of the matched-basis readout (the
+    r branch, accepted on outcomes |k (x) k>).  Row c of ``cums`` and
+    ``conds`` is one context of the Fourier branch: the cumulative law of
+    Alice's outcome j and Bob's acceptance given j.  q0 has one context,
+    q and the mixtures the p^2 phase rotations (row k p + l), and
+    ``swapped`` holds the same rows for the role-swapped state (t-tilde2,
+    taken with probability 1/2).  ``mu`` weights the r branch of the
+    mixtures.  ``product`` is (Alice's probability of outcome 0, Bob's
+    acceptance given it).
+    """
+
+    p: int = 1
+    cums: np.ndarray | None = None
+    conds: np.ndarray | None = None
+    swapped: tuple[np.ndarray, np.ndarray] | None = None
+    matched_cum: np.ndarray | None = None
+    mu: float | None = None
+    product: tuple[float, float] | None = None
+
+
+def _outcome_tables(name: str, sigma: np.ndarray, s: SchmidtSpectrum, mu: float | None) -> OutcomeTables:
+    """Outcome tables of protocol ``name`` on state ``sigma``."""
+    d = s.d
+    tables = OutcomeTables()
+    if name in ("r", "t-tilde", "t-tilde2"):
+        tables.matched_cum = _matched_cumulative(sigma)
+    if name in ("t-tilde", "t-tilde2"):
+        tables.mu = mu
+    if name == "q0":
+        tables.cums, tables.conds = _rotation_contexts(sigma, s, np.ones((1, d), dtype=complex))
+    if name in ("q", "t-tilde", "t-tilde2"):
+        tables.p, tables.cums, tables.conds = _twirled_contexts(sigma, d, s)
+    if name == "t-tilde2":
+        _, cums_s, conds_s = _twirled_contexts(_swap_parties(sigma, d), d, s)
+        tables.swapped = (cums_s, conds_s)
+    if name == "product":
+        sig4 = sigma.reshape(d, d, d, d)
+        alice0 = float(np.clip(np.real(np.trace(sig4[0, :, 0, :])), 0.0, 1.0))
+        joint00 = float(np.real(sigma[0, 0]))
+        cond00 = float(_snap_conditionals(np.array([joint00 / alice0 if alice0 > 0 else 0.0]))[0])
+        tables.product = (alice0, cond00)
+    return tables
 
 
 def _sample_1d(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -148,38 +215,28 @@ def simulate(config: ShotConfig) -> SimResult:
     d = s.d
     sigma = config.sigma.matrix
     effect = build_measurement(name, s)
-    # Snapped like the conditionals, so an acceptance that prints as 1 also
-    # gets the zero half width that 1 implies.
-    raw = float(np.real(np.trace(effect.operator.matrix @ sigma)))
+    # Tr T sigma as an O(D^2) entrywise sum, snapped like the conditionals
+    # so an acceptance that prints as 1 also gets the zero half width that 1
+    # implies.
+    raw = float(np.real(np.sum(effect.operator.matrix * sigma.T)))
     analytic = float(_snap_conditionals(np.array([raw]))[0])
 
-    mu = effect.mu if name in ("t-tilde", "t-tilde2") else None
-    need_matched = name in ("r", "t-tilde", "t-tilde2")
-    matched_cum = _matched_cumulative(sigma) if need_matched else None
-    contexts = swapped = None
+    tables = _outcome_tables(name, sigma, s, effect.mu)
+    mu, matched_cum, swapped = tables.mu, tables.matched_cum, tables.swapped
     if name == "q0":
-        cum0, cond0 = _fourier_contexts(sigma, d, s)
-    if name in ("q", "t-tilde", "t-tilde2"):
-        p, cums, conds = _twirled_contexts(sigma, d, s)
-        contexts = (p, cums, conds)
-    if name == "t-tilde2":
-        sw = swap_operator(d)
-        p, cums_s, conds_s = _twirled_contexts(sw @ sigma @ sw, d, s)
-        swapped = (cums_s, conds_s)
+        cum0, cond0 = tables.cums[0], tables.conds[0]
     if name == "product":
-        sig4 = sigma.reshape(d, d, d, d)
-        alice0 = float(np.clip(np.real(np.trace(sig4[0, :, 0, :])), 0.0, 1.0))
-        joint00 = float(np.real(sigma[0, 0]))
-        cond00 = float(_snap_conditionals(np.array([joint00 / alice0 if alice0 > 0 else 0.0]))[0])
+        alice0, cond00 = tables.product
 
     accepts = 0
     seed = config.seed
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     n_batches = (config.shots + BATCH_SHOTS - 1) // BATCH_SHOTS
-    children = root.spawn(n_batches)
-    for batch, child in enumerate(children):
+    # One child per batch, spawned as needed: repeated spawn(1) yields the
+    # children of spawn(n_batches) in the same order.
+    for batch in range(n_batches):
         nb = min(BATCH_SHOTS, config.shots - batch * BATCH_SHOTS)
-        rng = np.random.default_rng(child)
+        rng = np.random.default_rng(root.spawn(1)[0])
         if name == "r":
             m = _sample_1d(matched_cum, rng.random(nb))
             accept = m % (d + 1) == 0
@@ -191,7 +248,7 @@ def simulate(config: ShotConfig) -> SimResult:
         elif name == "product":
             accept = (rng.random(nb) < alice0) & (rng.random(nb) < cond00)
         else:
-            p, cums, conds = contexts
+            p, cums, conds = tables.p, tables.cums, tables.conds
             u_branch = rng.random(nb)
             ks = rng.integers(0, p, size=nb)
             ls = rng.integers(0, p, size=nb)

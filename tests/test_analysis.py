@@ -1,5 +1,7 @@
 """Error probabilities, the dual adversary search, and the bound verifiers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -210,7 +212,9 @@ def test_worst_case_properties_on_theta_grid(name, d):
         assert abs(res.value - forced_dual(t, st.density, float(theta)).value) <= 1e-8
 
 
-def test_worst_case_searches_only_for_product(monkeypatch):
+def test_worst_case_searches_only_off_both_gates(monkeypatch):
+    # Every named effect passes the eigenvector gate or, for product, the
+    # rank-one gate; a corpus effect fails both and still searches.
     calls = []
 
     def counting(*args, **kwargs):
@@ -220,13 +224,56 @@ def test_worst_case_searches_only_for_product(monkeypatch):
     monkeypatch.setattr(analysis, "golden_section_min", counting)
     for s in PROPERTY_SPECTRA.values():
         rho = schmidt_state(s).density
-        for name in EIGENVECTOR_NAMES:
+        for name in MEASUREMENT_NAMES:
             t = named_effect(name, s)
             for theta in THETAS[1:]:
                 worst_case_value(t, rho, float(theta))
     assert calls == []
-    worst_case_value(named_effect("product", S64), schmidt_state(S64).density, 0.3)
+    worst_case_value(named_effect("corpus", S64), schmidt_state(S64).density, 0.3)
     assert len(calls) == 1
+
+
+def random_rank_one(rng, d):
+    a = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+    a /= np.linalg.norm(a)
+    return BipartiteOperator(d, rng.uniform(0.2, 1.0) * np.outer(a, a.conj()))
+
+
+RANK_ONE_CASES = [("product", d) for d in sorted(PROPERTY_SPECTRA)] + [
+    ("random", d) for d in (2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("kind,d", RANK_ONE_CASES)
+def test_rank_one_closed_form_matches_forced_dual(kind, d, monkeypatch):
+    rng = np.random.default_rng(70 + d)
+    s = PROPERTY_SPECTRA[d] if kind == "product" else random_spectrum(rng, d)
+    t = named_effect("product", s) if kind == "product" else random_rank_one(rng, d)
+    rho = schmidt_state(s).density
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rank-one effect reached the dual search")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "golden_section_min", forbidden)
+        results = {float(theta): worst_case_value(t, rho, float(theta)) for theta in THETAS[1:]}
+        # dual_mu is the slope dv/dtheta of the closed form.
+        h = 1e-6
+        for theta, res in results.items():
+            if theta < 1.0:
+                hi = worst_case_value(t, rho, theta + h).value
+                lo = worst_case_value(t, rho, theta - h).value
+                assert abs(res.dual_mu - (hi - lo) / (2.0 * h)) <= 1e-4 * max(1.0, res.dual_mu)
+    for theta, res in results.items():
+        assert abs(res.value - forced_dual(t, rho, theta).value) <= 1e-8
+        assert float(np.real(np.vdot(res.sigma_star.matrix, rho.matrix))) <= theta + 1e-12
+
+
+def test_product_tiny_theta_is_exact():
+    theta, lam = 1e-15, 0.5
+    res = worst_case_value(named_effect("product", S55), schmidt_state(S55).density, theta)
+    exact = (math.sqrt(theta * lam) + math.sqrt((1.0 - theta) * (1.0 - lam))) ** 2
+    assert abs(res.value - exact) <= 1e-12
 
 
 def test_worst_case_closed_form_prints_zero_multiplier():

@@ -192,6 +192,13 @@ def test_exit_code_missing_file(capsys):
     assert code == 2
 
 
+def test_validate_bare_number_entries_exit_2(tmp_path, capsys):
+    path = tmp_path / "bare.json"
+    path.write_text('{"local_dim": 2, "entries": [' + ", ".join(["1.0"] * 16) + "]}")
+    code, _ = run_capture(capsys, ["validate", "--file", str(path)])
+    assert code == 2
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as err:
         run(["bounds", "--schmidt", "0.5,0.5", "--theta", "0", "--bogus"])

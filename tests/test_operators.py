@@ -219,6 +219,44 @@ def test_operator_file_roundtrip_bit_exact(tmp_path):
     assert back.meta == {"origin": "test"}
 
 
+def seeded_operator_with_negative_zero():
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    m[0, 0] = complex(-0.0, 1.5)
+    m[1, 2] = complex(0.25, -0.0)
+    return BipartiteOperator(3, m)
+
+
+def test_operator_json_matches_per_entry_writer():
+    # The array writer prints exactly what a per-entry float() loop prints.
+    import json
+
+    op = seeded_operator_with_negative_zero()
+    entries = [[float(z.real), float(z.imag)] for z in op.matrix.reshape(-1)]
+    expected = json.dumps({"format": "bipartite-operator", "local_dim": 3, "entries": entries})
+    assert operator_to_json(op) == expected
+    assert "[-0.0, 1.5]" in expected and "[0.25, -0.0]" in expected
+
+
+def test_operator_json_roundtrip_keeps_signed_zeros():
+    op = seeded_operator_with_negative_zero()
+    back = operator_from_json(operator_to_json(op))
+    assert np.array_equal(back.matrix, op.matrix)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(back.matrix)), np.signbit(part(op.matrix)))
+
+
+@pytest.mark.parametrize(
+    "entries", [[1.0] * 16, [[1.0, 0.0, 0.0]] * 16, [["a", 0.0]] * 16, [[1.0, None]] * 16]
+)
+def test_operator_json_rejects_malformed_entries(entries):
+    import json
+
+    text = json.dumps({"local_dim": 2, "entries": entries})
+    with pytest.raises(ValidationError):
+        operator_from_json(text)
+
+
 def test_operator_json_rejects_wrong_length():
     op = BipartiteOperator(2, np.eye(4))
     text = operator_to_json(op).replace("2", "3", 1)  # corrupt local_dim
