@@ -14,7 +14,6 @@ from .analysis import (
     ErrorReport,
     VerdictWithMargin,
     error_report,
-    helstrom_error,
     prior_weighted_worst_case,
     verify_blind_spot_bound,
     verify_ppt_trace_bound,
@@ -29,7 +28,6 @@ from .asymptotics import (
     cross_validate_small_n,
     figure1_data,
     figure2_data,
-    figure_data,
     rate_table,
 )
 from .errors import (
@@ -41,27 +39,17 @@ from .errors import (
 from .measurements import (
     NamedMeasurement,
     build_measurement,
-    build_q,
     build_q0,
-    build_q2,
-    build_r,
-    build_reference,
-    build_t_tilde,
-    build_t_tilde2,
-    swap_operator,
 )
 from .operators import (
     BipartiteOperator,
-    EigenSystem,
     ValidationVerdict,
-    eig_hermitian,
-    kron,
     partial_transpose,
     read_operator,
     validate_povm_element,
     write_operator,
 )
-from .simulator import ShotConfig, SimResult, estimate_error_rate, make_sigma, simulate
+from .simulator import ShotConfig, SimResult, make_sigma, simulate
 from .states import (
     PureState,
     SchmidtSpectrum,

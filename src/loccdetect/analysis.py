@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericalFailureError, ValidationError
-from .measurements import NamedMeasurement, build_t_tilde
+from .measurements import NamedMeasurement, build_measurement
 from .operators import (
     BipartiteOperator,
     partial_transpose,
@@ -80,19 +80,6 @@ def golden_section_min(f, lo: float, hi: float, tol: float):
     if f_lo <= f_mid:
         return float(lo), f_lo
     return mid, f_mid
-
-
-# ---------------------------------------------------------------------------
-# Helstrom baseline
-# ---------------------------------------------------------------------------
-
-
-def helstrom_error(rho: BipartiteOperator, sigma: BipartiteOperator) -> float:
-    """Optimal unrestricted error (1 - ||rho - sigma||_1 / 2) / 2."""
-    require_density_matrix(rho, what="rho")
-    require_density_matrix(sigma, what="sigma")
-    values = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return 0.5 * (1.0 - 0.5 * float(np.abs(values).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +179,8 @@ def worst_case_value(t: BipartiteOperator, rho: BipartiteOperator, theta: float)
 
     Otherwise, when T has rank one (Tr T - lambda_max(T) within the same
     scale, as for ``product``), the answer is the closed form of
-    _rank_one_worst_case.  Any other effect goes to the convex dual
+    _rank_one_worst_case, which needs neither m nor chi and so skips the
+    compressed eigensolve.  Any other effect goes to the convex dual
     g(mu) = lambda_max(T - mu rho) + mu theta, minimized by golden-section
     search (see _dual_worst_case).  On every path a primal-dual gap above
     1e-6 raises NumericalFailureError.
@@ -207,9 +195,8 @@ def worst_case_value(t: BipartiteOperator, rho: BipartiteOperator, theta: float)
         )
     tm = t.matrix
     ket = _pure_ket(rho)
-    restricted_top, chi = _complement_top(tm, ket)
-
     if theta == 0.0:
+        restricted_top, chi = _complement_top(tm, ket)
         sigma = np.outer(chi, chi.conj())
         return AdversaryResult(
             value=restricted_top,
@@ -227,8 +214,10 @@ def worst_case_value(t: BipartiteOperator, rho: BipartiteOperator, theta: float)
             result = _rank_one_worst_case(t, ket, theta, verdict.max_eigenvalue)
             if result is not None:
                 return result
+        _, chi = _complement_top(tm, ket)
         return _dual_worst_case(t, rho, theta, ket, chi, op_norm)
 
+    restricted_top, chi = _complement_top(tm, ket)
     excess = p - restricted_top
     mu = excess if excess > scale else 0.0
     value = restricted_top + theta * mu
@@ -315,7 +304,7 @@ def _dual_worst_case(
     mu_star, value = golden_section_min(dual, 0.0, mu_hi, tol=1e-10)
 
     # Primal candidates.  Degenerate top eigenvalues are resolved by the
-    # deterministic eigensolver ordering (see operators.EigenSystem).
+    # deterministic ordering of LAPACK's eigh (ascending values).
     candidates = [theta * rm + (1.0 - theta) * np.outer(chi, chi.conj())]
     values, vectors = np.linalg.eigh(tm - mu_star * rm)
     v = vectors[:, -1]
@@ -424,7 +413,7 @@ def error_report(
     NumericalFailureError, since both sides are exact.
     """
     if measurement is None:
-        measurement = build_t_tilde(s)
+        measurement = build_measurement("t-tilde", s)
     rho = schmidt_state(s)
     accept = float(np.real(np.vdot(rho.ket, measurement.operator.matrix @ rho.ket)))
     adversary = worst_case_value(measurement.operator, rho.density, theta)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import VerdictWithMargin, golden_section_min, worst_case_value
 from .errors import ValidationError
-from .measurements import build_t_tilde
+from .measurements import build_measurement
 from .states import SchmidtSpectrum, schmidt_state, tensor_power_spectrum
 
 FIG2_LEVELS = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -109,7 +109,7 @@ def cross_validate_small_n(s: SchmidtSpectrum, theta: float, n: int) -> VerdictW
     """
     spectrum_n = tensor_power_spectrum(s, n)
     rho_n = schmidt_state(spectrum_n)
-    measurement = build_t_tilde(spectrum_n)
+    measurement = build_measurement("t-tilde", spectrum_n)
     adversary = worst_case_value(measurement.operator, rho_n.density, theta**n)
     accept = float(np.real(np.vdot(rho_n.ket, measurement.operator.matrix @ rho_n.ket)))
     p_err = 0.5 * ((1.0 - accept) + adversary.value)
@@ -211,8 +211,11 @@ def figure1_data(d: int, alpha: float, grid_size: int = 100) -> dict[str, np.nda
     """Zero-overlap bound curves over the admissible lam range at fixed alpha.
 
     lam runs over [1/d, 1/(1 + alpha^2)] inclusive; the range is empty (a
-    parameter error) when alpha^2 + 1 > d.
+    parameter error) when alpha^2 + 1 > d.  d must be at least 2, as for
+    every bipartite system.
     """
+    if not isinstance(d, (int, np.integer)) or d < 2:
+        raise ValidationError(f"local dimension must be an integer >= 2, got {d!r}")
     if grid_size < 2:
         raise ValidationError(f"grid size must be >= 2, got {grid_size}")
     lo, hi = 1.0 / d, 1.0 / (1.0 + alpha**2)
@@ -267,15 +270,6 @@ def figure2_data(n, grid_size: int = 200) -> dict[str, np.ndarray]:
         for level in FIG2_LEVELS:
             out[f"level_{int(10 * level):02d}"] = value <= level**n + 1e-12
     return out
-
-
-def figure_data(kind: str, **params) -> dict[str, np.ndarray]:
-    """Dispatch a figure grid by name: ``fig1`` or ``fig2``."""
-    if kind == "fig1":
-        return figure1_data(**params)
-    if kind == "fig2":
-        return figure2_data(**params)
-    raise ValidationError(f"unknown figure kind {kind!r}; use fig1 or fig2")
 
 
 def figure2_csv(n, grid_size: int = 200) -> str:

@@ -33,12 +33,6 @@ from .twirl import twirl_discrete, twirl_entrywise
 LN2 = math.log(2.0)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
-
-
 def _parse_spectrum(text: str):
     try:
         raw = [float(part) for part in text.split(",")]
@@ -101,6 +95,8 @@ def _cmd_adversary(args) -> int:
 
 
 def _cmd_twirl_check(args) -> int:
+    if args.trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.trials):
@@ -182,7 +178,10 @@ def _cmd_figure1(args) -> int:
 
 
 def _cmd_figure2(args) -> int:
-    n = math.inf if args.n == "inf" else int(args.n)
+    try:
+        n = math.inf if args.n == "inf" else int(args.n)
+    except ValueError as exc:
+        raise ValidationError(f"--n must be a positive integer or 'inf', got {args.n!r}") from exc
     _emit(args, figure2_csv(n, args.grid))
     return 0
 

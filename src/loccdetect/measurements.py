@@ -1,7 +1,7 @@
 """Constructions of the detection measurements for a Schmidt-form state.
 
-Each builder returns the accept effect T of a two-outcome measurement
-{T, I - T}.  Canonical names follow the CLI strings:
+``build_measurement`` returns the accept effect T of a two-outcome
+measurement {T, I - T}.  Canonical names follow the CLI strings:
 
 * ``q0``       Fourier measurement on Alice, matched rank-one test on Bob.
 * ``q``        twirl of q0; closed form rho + sum_{i != j} lam_j |ij><ij|.
@@ -12,6 +12,13 @@ Each builder returns the accept effect T of a two-outcome measurement
 * ``t-tilde2`` mixture of R and q2 at mu = lam beta / (1 + lam beta).
 * ``product``  projection onto |0 (x) 0> (nonzero type-1 error).
 * ``helstrom`` projection onto the state itself (global baseline, not LOCC).
+
+Only ``q0`` is built as a sum of product projectors.  The phase twirl fixes
+every other name, so each is its matched block A and off-span weights b
+(``twirl.ABDecomposition``), written down in closed form by
+``_invariant_form`` and densified once by ``reassemble()``.  The paper's
+identities behind the closed forms (the twirl of q0 is q, the off-state
+norms of the mixtures) are checked in the tests, not on each call.
 """
 
 from __future__ import annotations
@@ -20,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError, ValidationError
+from .errors import ValidationError
 from .operators import BipartiteOperator
-from .states import SchmidtSpectrum, schmidt_state
-from .twirl import twirl_entrywise
+from .states import SchmidtSpectrum
+from .twirl import ABDecomposition
 
 MEASUREMENT_NAMES = ("q0", "q", "r", "t-mu", "t-tilde", "q2", "t-tilde2", "product", "helstrom")
 
@@ -67,139 +74,69 @@ def build_q0(s: SchmidtSpectrum) -> NamedMeasurement:
     return NamedMeasurement("q0", BipartiteOperator(d, op))
 
 
-def build_q(s: SchmidtSpectrum) -> NamedMeasurement:
-    """Twirl of q0, built from the closed form and cross-checked.
+def _invariant_form(
+    name: str, s: SchmidtSpectrum, mu: float | None
+) -> tuple[ABDecomposition, float | None]:
+    """Matched block A, off-span weights b and mixture weight of an invariant name.
 
-    The closed form is rho + sum_{i != j} coeffs[j] |i (x) j><i (x) j|; its
-    nonzero eigenvalues are 1 and each coefficient with multiplicity d - 1.
-    Building both routes catches indexing mistakes in either.
+    With r = sqrt(coeffs) and P = r r^T (the target's matched block), and b_ij
+    for i != j (b has a zero diagonal):
+
+    ==========================  ===================  =========================
+    name                        A                    b_ij
+    ==========================  ===================  =========================
+    ``q``                       P                    c_j
+    ``r``                       I                    0
+    ``t-mu``, ``t-tilde``       mu I + (1 - mu) P    (1 - mu) c_j
+    ``q2``                      P                    (c_i + c_j) / 2
+    ``t-tilde2``                mu I + (1 - mu) P    (1 - mu) (c_i + c_j) / 2
+    ``product``                 e_0 e_0^T            0
+    ``helstrom``                P                    0
+    ==========================  ===================  =========================
+
+    ``t-tilde`` takes mu = lam / (1 + lam), which equalizes the off-state
+    eigenvalues mu and (1 - mu) lam; ``t-tilde2`` takes mu = lam beta /
+    (1 + lam beta), which makes its off-state norm mu.  ``q2`` is q averaged
+    with its party-swapped copy, so it needs communication both ways.
     """
     d = s.d
-    rho = schmidt_state(s)
-    op = np.array(rho.density.matrix)
-    idx = np.arange(d * d)
-    off = idx // d != idx % d
-    op[idx[off], idx[off]] += s.coeffs[idx[off] % d]
-    twirled = twirl_entrywise(build_q0(s).operator)
-    gap = float(np.abs(op - twirled.matrix).max())
-    if gap > 1e-10:
-        raise NumericalFailureError(
-            f"closed form and twirled construction of q disagree by {gap:.3e}"
-        )
-    return NamedMeasurement("q", BipartiteOperator(d, op))
-
-
-def build_r(d: int) -> NamedMeasurement:
-    """Rank-d projection onto the matched span, sum_k |k (x) k><k (x) k|."""
-    if d < 2:
-        raise ValidationError(f"local dimension must be >= 2, got {d}")
-    op = np.zeros((d * d, d * d), dtype=complex)
-    matched = np.arange(d) * (d + 1)
-    op[matched, matched] = 1.0
-    return NamedMeasurement("r", BipartiteOperator(d, op))
-
-
-def swap_operator(d: int) -> np.ndarray:
-    """Unitary exchanging the factors, |i (x) j> -> |j (x) i>."""
-    s = np.zeros((d * d, d * d), dtype=complex)
-    idx = np.arange(d * d)
-    s[(idx % d) * d + idx // d, idx] = 1.0
-    return s
-
-
-def _check_off_state_norm(op: np.ndarray, rho: np.ndarray, expected: float, name: str) -> None:
-    # T and the state projector commute for these mixtures, so T(I - rho)
-    # is Hermitian and its spectral norm comes from eigvalsh.
-    proj = np.eye(op.shape[0]) - rho
-    prod = op @ proj
-    norm = float(np.abs(np.linalg.eigvalsh(0.5 * (prod + prod.conj().T))).max())
-    if abs(norm - expected) > 1e-10:
-        raise NumericalFailureError(
-            f"{name}: off-state norm {norm!r} differs from expected {expected!r}"
-        )
-
-
-def build_t_tilde(s: SchmidtSpectrum, mu: float | None = None) -> NamedMeasurement:
-    """Mixture mu R + (1 - mu) Q; default mu = lam/(1 + lam).
-
-    The eigenvalues off the target state are mu (on the matched span) and
-    (1 - mu) coeffs[i], so the off-state norm is max(mu, (1 - mu) lam); the
-    default mu equalizes the two branches and minimizes it.
-    """
-    default = mu is None
-    if default:
-        mu = s.lam / (1.0 + s.lam)
-    if not 0.0 <= mu <= 1.0:
-        raise ValidationError(f"mu must lie in [0, 1], got {mu!r}")
-    q = build_q(s).operator.matrix
-    r = build_r(s.d).operator.matrix
-    op = mu * r + (1.0 - mu) * q
-    rho = schmidt_state(s).density.matrix
-    _check_off_state_norm(op, rho, max(mu, (1.0 - mu) * s.lam), "t-tilde" if default else "t-mu")
-    return NamedMeasurement("t-tilde" if default else "t-mu", BipartiteOperator(s.d, op), mu=float(mu))
-
-
-def build_q2(s: SchmidtSpectrum) -> NamedMeasurement:
-    """Swap-symmetrized q: (Q + S Q S)/2, off-state eigenvalues (lam_i + lam_j)/2."""
-    d = s.d
-    q = build_q(s).operator.matrix
-    sw = swap_operator(d)
-    return NamedMeasurement("q2", BipartiteOperator(d, 0.5 * (q + sw @ q @ sw)))
-
-
-def build_t_tilde2(s: SchmidtSpectrum) -> NamedMeasurement:
-    """Two-way mixture mu R + (1 - mu) Q2 at mu = lam beta / (1 + lam beta).
-
-    Needs communication in both directions (the swap halves exchange the
-    parties' roles); its off-state norm improves lam/(1+lam) to the
-    arithmetic-mean version lam beta/(1 + lam beta).  For d = 2 it equals
-    rho + (I - rho)/3 for every spectrum.
-    """
-    lb = s.lam * s.beta
-    mu = lb / (1.0 + lb)
-    q2 = build_q2(s).operator.matrix
-    r = build_r(s.d).operator.matrix
-    op = mu * r + (1.0 - mu) * q2
-    rho = schmidt_state(s).density.matrix
-    _check_off_state_norm(op, rho, mu, "t-tilde2")
-    return NamedMeasurement("t-tilde2", BipartiteOperator(s.d, op), mu=float(mu))
-
-
-def build_reference(s: SchmidtSpectrum, kind: str) -> NamedMeasurement:
-    """Reference effects: ``product`` = |00><00|, ``helstrom`` = the state itself.
-
-    The product test accepts the target only with probability lam (the
-    one-sided-accept property is waived for this name); the helstrom effect
-    is the global-measurement baseline and is not LOCC.
-    """
-    d = s.d
-    if kind == "product":
-        op = np.zeros((d * d, d * d), dtype=complex)
-        op[0, 0] = 1.0
-        return NamedMeasurement("product", BipartiteOperator(d, op))
-    if kind == "helstrom":
-        return NamedMeasurement("helstrom", schmidt_state(s).density)
-    raise ValidationError(f"unknown reference measurement {kind!r}")
+    c = s.coeffs
+    root = np.sqrt(c)
+    p = np.outer(root, root)
+    eye = np.eye(d)
+    off = ~np.eye(d, dtype=bool)
+    one_way = np.where(off, c[None, :], 0.0)
+    two_way = np.where(off, 0.5 * (c[:, None] + c[None, :]), 0.0)
+    if name == "q":
+        return ABDecomposition(p, one_way), None
+    if name == "r":
+        return ABDecomposition(eye, np.zeros((d, d))), None
+    if name in ("t-mu", "t-tilde"):
+        if name == "t-tilde":
+            mu = s.lam / (1.0 + s.lam)
+        elif mu is None:
+            raise ValidationError("measurement t-mu requires an explicit mu")
+        if not 0.0 <= mu <= 1.0:
+            raise ValidationError(f"mu must lie in [0, 1], got {mu!r}")
+        return ABDecomposition(mu * eye + (1.0 - mu) * p, (1.0 - mu) * one_way), float(mu)
+    if name == "q2":
+        return ABDecomposition(p, two_way), None
+    if name == "t-tilde2":
+        lb = s.lam * s.beta
+        mu = lb / (1.0 + lb)
+        return ABDecomposition(mu * eye + (1.0 - mu) * p, (1.0 - mu) * two_way), float(mu)
+    if name == "product":
+        e0 = np.zeros((d, d))
+        e0[0, 0] = 1.0
+        return ABDecomposition(e0, np.zeros((d, d))), None
+    if name == "helstrom":
+        return ABDecomposition(p, np.zeros((d, d))), None
+    raise ValidationError(f"unknown measurement {name!r}; choose from {MEASUREMENT_NAMES}")
 
 
 def build_measurement(name: str, s: SchmidtSpectrum, mu: float | None = None) -> NamedMeasurement:
-    """Dispatch a builder by canonical name."""
+    """Accept effect of a named measurement; ``mu`` is read only by ``t-mu``."""
     if name == "q0":
         return build_q0(s)
-    if name == "q":
-        return build_q(s)
-    if name == "r":
-        return build_r(s.d)
-    if name == "t-tilde":
-        return build_t_tilde(s)
-    if name == "t-mu":
-        if mu is None:
-            raise ValidationError("measurement t-mu requires an explicit mu")
-        return build_t_tilde(s, mu=mu)
-    if name == "q2":
-        return build_q2(s)
-    if name == "t-tilde2":
-        return build_t_tilde2(s)
-    if name in ("product", "helstrom"):
-        return build_reference(s, name)
-    raise ValidationError(f"unknown measurement {name!r}; choose from {MEASUREMENT_NAMES}")
+    form, weight = _invariant_form(name, s, mu)
+    return NamedMeasurement(name, BipartiteOperator(s.d, form.reassemble()), mu=weight)

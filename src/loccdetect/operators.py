@@ -2,9 +2,10 @@
 
 All operators are stored as dense (d^2, d^2) complex arrays using the flat
 index convention ``|i (x) j> -> i*d + j``; every module in the package relies
-on that convention.  This module provides the shared primitives: Kronecker
-products, the partial transpose on the first tensor factor, Hermitian
-eigendecomposition, POVM-element validation and the operator file format.
+on that convention.  This module provides the shared primitives: the
+operator type with its entry cap, the partial transpose on the first tensor
+factor, POVM-element and density-matrix validation and the operator file
+format.
 """
 
 from __future__ import annotations
@@ -108,38 +109,6 @@ class BipartiteOperator:
         return self.matrix.shape[0]
 
 
-@dataclass
-class EigenSystem:
-    """Hermitian eigendecomposition with ascending eigenvalues.
-
-    Ordering is deterministic: LAPACK returns ascending values, and ties keep
-    the solver's output order (then ascending index), so repeated runs on the
-    same input agree bit for bit.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    @property
-    def op_norm(self) -> float:
-        """Spectral norm max |eigenvalue|."""
-        return float(np.abs(self.values).max())
-
-    @property
-    def trace_norm(self) -> float:
-        """Trace norm sum |eigenvalue|."""
-        return float(np.abs(self.values).sum())
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with (a (x) b)_{(i*db+k),(j*db+l)} = a_ij * b_kl."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    out_dim = a.shape[0] * b.shape[0]
-    _check_entry_cap(out_dim)
-    return np.kron(a, b)
-
-
 def partial_transpose(t: BipartiteOperator) -> BipartiteOperator:
     """Transpose the first tensor factor: out[(i,j),(k,l)] = in[(k,j),(i,l)].
 
@@ -149,21 +118,6 @@ def partial_transpose(t: BipartiteOperator) -> BipartiteOperator:
     d = t.local_dim
     m = t.matrix.reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
     return BipartiteOperator(d, m)
-
-
-def eig_hermitian(m: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues).
-
-    Raises
-    ------
-    ContractError
-        If the input fails the Hermiticity tolerance; the message names the
-        largest asymmetry.
-    """
-    m = as_complex_matrix(m)
-    require_hermitian(m)
-    values, vectors = np.linalg.eigh(m)
-    return EigenSystem(values=values, vectors=vectors)
 
 
 @dataclass

@@ -276,27 +276,6 @@ def simulate(config: ShotConfig) -> SimResult:
     return SimResult(accepts=accepts, estimate=estimate, analytic=analytic, ci_halfwidth=ci)
 
 
-def estimate_error_rate(config: ShotConfig, theta: float) -> float:
-    """Two-sided error estimate from paired runs under the target and sigma.
-
-    The two runs draw from independent child streams of the root seed;
-    ``theta`` is the claimed overlap bound of the instance and is recorded
-    by callers, the estimate itself being ((1 - accept_target) +
-    accept_sigma) / 2.
-    """
-    seed = config.seed
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seed_rho, seed_sigma = root.spawn(2)
-    rho = schmidt_state(config.spectrum).density
-    est_rho = simulate(
-        ShotConfig(config.measurement, config.spectrum, rho, config.shots, seed_rho)
-    ).estimate
-    est_sigma = simulate(
-        ShotConfig(config.measurement, config.spectrum, config.sigma, config.shots, seed_sigma)
-    ).estimate
-    return 0.5 * ((1.0 - est_rho) + est_sigma)
-
-
 def make_sigma(
     family: str,
     spectrum: SchmidtSpectrum,

@@ -19,7 +19,7 @@ from loccdetect.asymptotics import (
     figure2_data,
     rate_table,
 )
-from loccdetect.measurements import build_t_tilde, build_t_tilde2
+from loccdetect.measurements import build_measurement
 from loccdetect.operators import BipartiteOperator, partial_transpose
 from loccdetect.simulator import ShotConfig, make_sigma, simulate
 from loccdetect.states import make_spectrum, schmidt_state, uniform_spectrum
@@ -48,7 +48,7 @@ def test_criterion_1_maximally_entangled_closed_form():
     for d in range(2, 7):
         s = uniform_spectrum(d)
         for theta in THETA_GRID:
-            r = error_report(s, theta, build_t_tilde(s))
+            r = error_report(s, theta, build_measurement("t-tilde", s))
             closed = (d * theta + 1.0) / (2.0 * (d + 1.0))
             worst = max(worst, abs(r.p_err - closed))
     r2 = error_report(uniform_spectrum(2), 0.0)
@@ -78,8 +78,8 @@ def test_criterion_3_guarantee_equalities():
         d = int(rng.integers(2, 7))
         s = random_spectrum(rng, d)
         rho = schmidt_state(s).density
-        one_way = build_t_tilde(s)
-        two_way = build_t_tilde2(s)
+        one_way = build_measurement("t-tilde", s)
+        two_way = build_measurement("t-tilde2", s)
         for theta in (0.0, 0.2, 0.5, 0.9):
             p1 = 0.5 * worst_case_value(one_way.operator, rho, theta).value
             p2 = 0.5 * worst_case_value(two_way.operator, rho, theta).value
@@ -96,7 +96,7 @@ def test_criterion_4_sandwich_and_curve_shapes():
         d = int(rng.integers(2, 5))
         s = random_spectrum(rng, d)
         for theta in THETA_GRID:
-            r = error_report(s, theta, build_t_tilde(s))
+            r = error_report(s, theta, build_measurement("t-tilde", s))
             ok = ok and r.lower_thm2 <= r.p_err + 1e-12
             ok = ok and r.p_err <= r.upper_1way + 1e-8
     alpha, d = 0.6, 2

@@ -9,7 +9,6 @@ from loccdetect import analysis
 from loccdetect.analysis import (
     error_report,
     golden_section_min,
-    helstrom_error,
     prior_weighted_worst_case,
     verify_blind_spot_bound,
     verify_ppt_trace_bound,
@@ -19,9 +18,6 @@ from loccdetect.errors import ContractError, NumericalFailureError, ValidationEr
 from loccdetect.measurements import (
     MEASUREMENT_NAMES,
     build_measurement,
-    build_reference,
-    build_t_tilde,
-    build_t_tilde2,
 )
 from loccdetect.operators import BipartiteOperator
 from loccdetect.states import make_spectrum, schmidt_state, uniform_spectrum
@@ -58,47 +54,13 @@ def feasible_random_search(t, ket, theta, rng, trials):
 
 
 # ---------------------------------------------------------------------------
-# Helstrom baseline
-# ---------------------------------------------------------------------------
-
-
-def test_helstrom_orthogonal_alternative():
-    rho = schmidt_state(S64).density
-    sigma = BipartiteOperator(2, (np.eye(4) - rho.matrix) / 3.0)
-    assert abs(helstrom_error(rho, sigma)) <= 1e-12
-
-
-def test_helstrom_pure_overlap():
-    # Two pure states with squared overlap 0.36: error (1 - 0.8)/2 = 0.1.
-    rho = schmidt_state(S64).density
-    ket = np.zeros(4, dtype=complex)
-    ket[0] = np.sqrt(0.36) / np.sqrt(0.6)  # overlap with sqrt(0.6)|00>+sqrt(0.4)|11>
-    ket[1] = np.sqrt(1 - abs(ket[0]) ** 2)
-    sigma = BipartiteOperator(2, np.outer(ket, ket.conj()))
-    theta = abs(np.vdot(schmidt_state(S64).ket, ket)) ** 2
-    assert abs(theta - 0.36) <= 1e-12
-    assert abs(helstrom_error(rho, sigma) - 0.1) <= 1e-12
-
-
-def test_helstrom_identical_states():
-    rho = schmidt_state(S64).density
-    assert abs(helstrom_error(rho, rho) - 0.5) <= 1e-12
-
-
-def test_helstrom_rejects_non_state():
-    rho = schmidt_state(S64).density
-    with pytest.raises(ContractError):
-        helstrom_error(rho, BipartiteOperator(2, 2 * np.eye(4)))
-
-
-# ---------------------------------------------------------------------------
 # worst_case_value
 # ---------------------------------------------------------------------------
 
 
 def test_worst_case_t_tilde_closed_forms():
     rho = schmidt_state(S64).density
-    t = build_t_tilde(S64).operator
+    t = build_measurement("t-tilde", S64).operator
     adv = worst_case_value(t, rho, 0.2)
     assert abs(adv.value - 0.5) <= 1e-9  # (theta + lam)/(1 + lam)
     adv0 = worst_case_value(t, rho, 0.0)
@@ -108,7 +70,7 @@ def test_worst_case_t_tilde_closed_forms():
 
 def test_worst_case_helstrom_effect_saturates_overlap():
     rho = schmidt_state(S64).density
-    t = build_reference(S64, "helstrom").operator
+    t = build_measurement("helstrom", S64).operator
     for theta in (0.0, 0.3, 0.7):
         adv = worst_case_value(t, rho, theta)
         assert abs(adv.value - theta) <= 1e-9
@@ -116,7 +78,7 @@ def test_worst_case_helstrom_effect_saturates_overlap():
 
 def test_worst_case_rejects_bad_inputs():
     rho = schmidt_state(S64).density
-    t = build_t_tilde(S64).operator
+    t = build_measurement("t-tilde", S64).operator
     with pytest.raises(ValidationError):
         worst_case_value(t, rho, 1.5)
     with pytest.raises(ContractError):
@@ -276,6 +238,25 @@ def test_product_tiny_theta_is_exact():
     assert abs(res.value - exact) <= 1e-12
 
 
+def test_complement_eigensolve_only_where_chi_is_used(monkeypatch):
+    # The rank-one path needs neither m nor chi; theta = 0 needs both.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return complement_top(*args)
+
+    complement_top = analysis._complement_top
+    monkeypatch.setattr(analysis, "_complement_top", counting)
+    s = make_spectrum([0.5, 0.3, 0.2], 3)
+    t = named_effect("product", s)
+    rho = schmidt_state(s).density
+    worst_case_value(t, rho, 0.3)
+    assert len(calls) == 0
+    worst_case_value(t, rho, 0.0)
+    assert len(calls) == 1
+
+
 def test_worst_case_closed_form_prints_zero_multiplier():
     # q0 and r have m = p = 1: the multiplier is exactly 0, not roundoff.
     s = make_spectrum([0.4, 0.3, 0.2, 0.1], 4)
@@ -316,9 +297,9 @@ def test_report_product_state_floor_vanishes():
 @pytest.mark.parametrize("theta", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
 def test_report_guarantee_equalities_on_theta_grid(theta):
     for s in (S64, S55, make_spectrum([0.5, 0.3, 0.2], 3)):
-        r1 = error_report(s, theta, build_t_tilde(s))
+        r1 = error_report(s, theta, build_measurement("t-tilde", s))
         assert abs(r1.p_err - r1.upper_1way) <= 1e-9
-        r2 = error_report(s, theta, build_t_tilde2(s))
+        r2 = error_report(s, theta, build_measurement("t-tilde2", s))
         assert abs(r2.p_err - r2.upper_2way) <= 1e-9
         # Lower floor / upper guarantee sandwich and the unrestricted baseline.
         assert r1.lower_thm2 <= r1.p_err + 1e-12
@@ -328,8 +309,6 @@ def test_report_guarantee_equalities_on_theta_grid(theta):
 @pytest.mark.parametrize("name", ["q0", "q", "r", "t-tilde", "t-tilde2", "product"])
 def test_report_never_beats_unrestricted_baseline(name):
     # Locally implementable (PPT) effects cannot undercut theta/2.
-    from loccdetect.measurements import build_measurement
-
     for theta in (0.0, 0.3, 0.8):
         r = error_report(S64, theta, build_measurement(name, S64))
         assert r.helstrom <= r.p_err + 1e-9
@@ -364,7 +343,7 @@ def test_report_serialization_format():
 
 
 def test_trace_bound_t_tilde():
-    t = build_t_tilde(S64).operator
+    t = build_measurement("t-tilde", S64).operator
     rho = schmidt_state(S64).density
     verdict = verify_ppt_trace_bound(t, rho)
     assert verdict.passed
@@ -384,7 +363,7 @@ def test_trace_bound_rejects_non_ppt():
 
 
 def test_blind_spot_bound_t_tilde():
-    t = build_t_tilde(S64).operator
+    t = build_measurement("t-tilde", S64).operator
     verdict = verify_blind_spot_bound(t, S64)
     assert verdict.passed
     # One-sided case: norm 0.375 must reach (2/3) lam alpha ~ 0.3266.
@@ -393,13 +372,13 @@ def test_blind_spot_bound_t_tilde():
 
 def test_blind_spot_bound_not_applicable_for_product_state():
     s = make_spectrum([1.0, 0.0], 2)
-    t = build_t_tilde(s).operator
+    t = build_measurement("t-tilde", s).operator
     verdict = verify_blind_spot_bound(t, s)
     assert not verdict.applicable
 
 
 def test_blind_spot_bound_rejects_asymmetric_effect():
-    t = build_reference(S64, "helstrom").operator  # not PPT, fails contract
+    t = build_measurement("helstrom", S64).operator  # not PPT, fails contract
     with pytest.raises(ContractError):
         verify_blind_spot_bound(t, S64)
 
@@ -423,7 +402,7 @@ def test_verifier_corpus(d):
 
 
 def test_priors_half_reduces_to_report():
-    t = build_t_tilde(S64)
+    t = build_measurement("t-tilde", S64)
     rho = schmidt_state(S64).density
     weighted = prior_weighted_worst_case(t.operator, rho, 0.0, 0.5)
     report = error_report(S64, 0.0, t)
@@ -431,7 +410,7 @@ def test_priors_half_reduces_to_report():
 
 
 def test_priors_small_pi0_floor():
-    t = build_t_tilde(S64)
+    t = build_measurement("t-tilde", S64)
     rho = schmidt_state(S64).density
     value = prior_weighted_worst_case(t.operator, rho, 0.0, 0.01)
     floor = min(0.01, 0.99 * 2.0 * 0.6 * (2.0 / 3.0) / (2.0 + 7.0 * np.sqrt(2.0 / 3.0)))
@@ -440,7 +419,7 @@ def test_priors_small_pi0_floor():
 
 
 def test_priors_near_one_limit():
-    t = build_t_tilde(S64)
+    t = build_measurement("t-tilde", S64)
     rho = schmidt_state(S64).density
     value = prior_weighted_worst_case(t.operator, rho, 0.0, 1.0 - 1e-9)
     # One-sided measurement: only the vanishing-weight adversary term is left.
@@ -448,7 +427,7 @@ def test_priors_near_one_limit():
 
 
 def test_priors_range_check():
-    t = build_t_tilde(S64)
+    t = build_measurement("t-tilde", S64)
     rho = schmidt_state(S64).density
     with pytest.raises(ValidationError):
         prior_weighted_worst_case(t.operator, rho, 0.0, 0.0)

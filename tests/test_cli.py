@@ -260,3 +260,19 @@ def test_adversary_product_boundary_optimum_is_exact(tmp_path, capsys):
     fields = parse_records(out)
     assert fields["value"] == "1"
     assert fields["dual_mu"] == "0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure2", "--n", "abc"],
+        ["figure1", "--dim", "0", "--alpha", "0.5"],
+        ["figure1", "--dim", "1", "--alpha", "0"],
+        ["twirl-check", "--dim", "2", "--trials", "-1"],
+    ],
+)
+def test_bad_input_exits_2(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -1,4 +1,4 @@
-"""Operator algebra primitives: kron, partial transpose, eigh, validation."""
+"""Operator algebra primitives: entry cap, partial transpose, validation, file I/O."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from loccdetect.errors import ContractError, SizeCapError, ValidationError
 from loccdetect.operators import (
     BipartiteOperator,
-    eig_hermitian,
-    kron,
     operator_from_json,
     operator_to_json,
     partial_transpose,
@@ -18,56 +16,19 @@ from loccdetect.operators import (
 from loccdetect.states import make_spectrum, schmidt_state
 
 
-def basis_projector(d, i, j):
-    m = np.zeros((d * d, d * d), dtype=complex)
-    m[i * d + j, i * d + j] = 1.0
-    return m
-
-
 # ---------------------------------------------------------------------------
-# kron
+# entry cap
 # ---------------------------------------------------------------------------
-
-
-def test_kron_identity():
-    np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_phase_diagonals():
-    # Entrywise expansion by hand: diag(1, w) x diag(1, conj(w)).
-    omega = np.exp(2j * np.pi / 3)
-    a = np.diag([1.0, omega])
-    b = np.diag([1.0, omega.conjugate()])
-    expected = np.diag([1.0, omega.conjugate(), omega, 1.0])
-    np.testing.assert_allclose(kron(a, b), expected, atol=1e-15)
-
-
-def test_kron_rank_one():
-    p0 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    p1 = np.array([[0.0, 0.0], [0.0, 1.0]])
-    out = kron(p0, p1)
-    expected = np.zeros((4, 4))
-    expected[1, 1] = 1.0  # flat index (0*2+1, 0*2+1)
-    np.testing.assert_array_equal(out, expected)
-
-
-def test_kron_mixed_product_property():
-    rng = np.random.default_rng(5)
-    for d in (2, 3):
-        a, b, c, e = (
-            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(4)
-        )
-        lhs = kron(a, b) @ kron(c, e)
-        rhs = kron(a @ c, b @ e)
-        assert np.abs(lhs - rhs).max() <= 1e-10
 
 
 def test_kron_size_cap(monkeypatch):
+    # LOCC_SIZE_CAP bounds the entries of every operator matrix, inclusive.
     monkeypatch.setenv("LOCC_SIZE_CAP", "16")
+    # d = 2 gives a 4x4 matrix, exactly 16 entries: allowed.
+    BipartiteOperator(2, np.eye(4))
+    # d = 3 gives 9x9 = 81 entries: refused.
     with pytest.raises(SizeCapError):
-        kron(np.eye(4), np.eye(2))
-    # 4x4 output has exactly 16 entries: allowed.
-    kron(np.eye(2), np.eye(2))
+        BipartiteOperator(3, np.eye(9))
 
 
 # ---------------------------------------------------------------------------
@@ -118,52 +79,6 @@ def test_partial_transpose_norm_equals_lambda_random_spectra(seed):
 
 
 # ---------------------------------------------------------------------------
-# eig_hermitian
-# ---------------------------------------------------------------------------
-
-
-def test_eig_identity():
-    es = eig_hermitian(np.eye(4))
-    np.testing.assert_array_equal(es.values, np.ones(4))
-
-
-def test_eig_q_spectrum():
-    from loccdetect.measurements import build_q
-
-    q = build_q(make_spectrum([0.6, 0.4], 2))
-    es = eig_hermitian(q.operator.matrix)
-    np.testing.assert_allclose(es.values, [0.0, 0.4, 0.6, 1.0], atol=1e-12)
-    assert abs(es.op_norm - 1.0) <= 1e-12
-    assert abs(es.trace_norm - 2.0) <= 1e-12
-
-
-def test_eig_orthogonal_pure_difference_trace_norm():
-    d = 2
-    rho = basis_projector(d, 0, 0)
-    sigma = basis_projector(d, 1, 1)
-    es = eig_hermitian(rho - sigma)
-    assert abs(es.trace_norm - 2.0) <= 1e-12
-
-
-def test_eig_reconstruction_and_orthonormality():
-    rng = np.random.default_rng(11)
-    g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    m = 0.5 * (g + g.conj().T)
-    es = eig_hermitian(m)
-    recon = (es.vectors * es.values) @ es.vectors.conj().T
-    assert np.abs(recon - m).max() <= 1e-8
-    gram = es.vectors.conj().T @ es.vectors
-    assert np.abs(gram - np.eye(9)).max() <= 1e-8
-    assert np.all(np.diff(es.values) >= 0)
-
-
-def test_eig_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ContractError, match="1"):
-        eig_hermitian(m)
-
-
-# ---------------------------------------------------------------------------
 # validate_povm_element
 # ---------------------------------------------------------------------------
 
@@ -174,9 +89,9 @@ def test_validate_identity():
 
 
 def test_validate_t_tilde():
-    from loccdetect.measurements import build_t_tilde
+    from loccdetect.measurements import build_measurement
 
-    t = build_t_tilde(make_spectrum([0.6, 0.4], 2))
+    t = build_measurement("t-tilde", make_spectrum([0.6, 0.4], 2))
     verdict = validate_povm_element(t.operator)
     assert verdict.passed and verdict.ppt
 

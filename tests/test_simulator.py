@@ -10,7 +10,6 @@ from loccdetect.operators import BipartiteOperator
 from loccdetect.simulator import (
     SIMULATABLE,
     ShotConfig,
-    estimate_error_rate,
     make_sigma,
     simulate,
 )
@@ -85,25 +84,6 @@ def test_determinism_same_seed():
     assert a.accepts != c.accepts  # different stream, different tally
 
 
-def test_estimate_error_rate_worst_case():
-    sigma = make_sigma("worst-case", S64, "t-tilde", 0.0)
-    rate = estimate_error_rate(ShotConfig("t-tilde", S64, sigma, 200_000, 6), 0.0)
-    assert abs(rate - 0.1875) <= 0.004
-
-
-def test_estimate_error_rate_indistinguishable():
-    rho = schmidt_state(S64).density
-    rate = estimate_error_rate(ShotConfig("t-tilde", S64, rho, 10_000, 7), 1.0)
-    assert rate == 0.5  # accepts both hypotheses always
-
-
-def test_estimate_error_rate_product_reference():
-    sigma = make_sigma("orthogonal-uniform", S64)
-    rate = estimate_error_rate(ShotConfig("product", S64, sigma, 200_000, 8), 0.0)
-    expected = 0.5 * ((1 - 0.6) + 0.4 / 3.0)
-    assert abs(rate - expected) <= 0.004
-
-
 def test_simulate_rejects_bad_inputs():
     rho = schmidt_state(S64).density
     with pytest.raises(ValidationError):
@@ -131,11 +111,10 @@ def test_make_sigma_families():
 
 def test_worst_case_sigma_matches_adversary_value():
     from loccdetect.analysis import worst_case_value
-    from loccdetect.measurements import build_t_tilde
 
     sigma = make_sigma("worst-case", S64, "t-tilde", 0.2)
     rho = schmidt_state(S64).density
-    adv = worst_case_value(build_t_tilde(S64).operator, rho, 0.2)
+    adv = worst_case_value(build_measurement("t-tilde", S64).operator, rho, 0.2)
     res = simulate(ShotConfig("t-tilde", S64, sigma, N, 9))
     assert abs(res.analytic - adv.value) <= 1e-6
     assert abs(res.estimate - res.analytic) <= res.ci_halfwidth
@@ -191,22 +170,74 @@ def random_rank3_state(d, seed):
     return BipartiteOperator(d, m / np.trace(m).real)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-@pytest.mark.parametrize("name", SIMULATABLE)
-def test_outcome_tables_give_exact_acceptance(name, d):
-    s = make_spectrum(np.sort(np.random.default_rng(80 + d).dirichlet(np.ones(d)))[::-1], d)
-    effect = build_measurement(name, s)
-    sigmas = [
+def law_spectrum(d):
+    return make_spectrum(np.sort(np.random.default_rng(80 + d).dirichlet(np.ones(d)))[::-1], d)
+
+
+def law_states(name, s):
+    """The states the sampler's outcome law is checked on."""
+    return [
         make_sigma("orthogonal-uniform", s),
         make_sigma("basis:0,1", s),
         make_sigma("worst-case", s, name, 0.0),
         make_sigma("worst-case", s, name, 0.3),
-        random_rank3_state(d, 90 + d),
+        random_rank3_state(s.d, 90 + s.d),
     ]
-    for sigma in sigmas:
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", SIMULATABLE)
+def test_outcome_tables_give_exact_acceptance(name, d):
+    s = law_spectrum(d)
+    effect = build_measurement(name, s)
+    for sigma in law_states(name, s):
         tables = simulator._outcome_tables(name, sigma.matrix, s, effect.mu)
         exact = float(np.real(np.trace(effect.operator.matrix @ sigma.matrix)))
         assert abs(law_acceptance(tables, d) - exact) <= 1e-12
+
+
+def alice_born(sigma, y):
+    """Tr[(|y><y| (x) I) sigma], from the full state."""
+    d = len(y)
+    return float(np.real(np.trace(np.kron(np.outer(y, y.conj()), np.eye(d)) @ sigma)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", SIMULATABLE)
+def test_outcome_tables_give_alice_born_marginals(name, d):
+    # Alice's cells against her Born probabilities for y_j = w * phi_j, with
+    # w the diagonal of context row k p + l (all ones for q0).  A wrong
+    # marginal cancels in the acceptance sum, so it is checked on its own.
+    s = law_spectrum(d)
+    phi = fourier_basis(d)
+    p, z, u = twirl_unitary_diagonals(d)
+    if name == "q0":
+        rotations = np.ones((1, d))
+    else:
+        rotations = np.array([u**k * z**l for k in range(p) for l in range(p)])
+    swap = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            swap[j * d + i, i * d + j] = 1.0
+    mu = build_measurement(name, s).mu
+    for sigma in law_states(name, s):
+        m = sigma.matrix
+        tables = simulator._outcome_tables(name, m, s, mu)
+        if name == "r":
+            cells = cell_probabilities(tables.matched_cum)
+            assert np.abs(cells - np.real(np.diag(m))).max() <= 1e-12
+            continue
+        if name == "product":
+            assert abs(tables.product[0] - alice_born(m, np.eye(d)[0])) <= 1e-12
+            continue
+        contexts = [(tables.cums, m)]
+        if name == "t-tilde2":
+            contexts.append((tables.swapped[0], swap @ m @ swap))
+        for cums, state in contexts:
+            cells = cell_probabilities(cums)
+            for row, w in enumerate(rotations):
+                born = [alice_born(state, w * phi[:, j]) for j in range(d)]
+                assert np.abs(cells[row] - born).max() <= 1e-12, row
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -42,7 +42,7 @@ def test_state_is_twirl_invariant():
 
 
 def test_twirl_of_fourier_measurement_matches_closed_form():
-    from loccdetect.measurements import build_q0
+    from loccdetect.measurements import build_measurement, build_q0
 
     s = make_spectrum([0.6, 0.4], 2)
     out = twirl_entrywise(build_q0(s).operator).matrix
@@ -51,6 +51,27 @@ def test_twirl_of_fourier_measurement_matches_closed_form():
     expected[1, 1] += 0.4  # |01><01| keeps the second coefficient
     expected[2, 2] += 0.6  # |10><10| keeps the first
     assert np.abs(out - expected).max() <= 1e-12
+
+    # The closed form q is the twirl of q0 for every spectrum shape.
+    for d in range(2, 7):
+        near = np.full(d, 1e-3 / (d - 1))
+        near[0] = 1.0 - 1e-3
+        top = np.ones(d)
+        top[:2] = 2.0
+        product = np.zeros(d)
+        product[0] = 1.0
+        families = {
+            "uniform": np.ones(d),
+            "dirichlet": np.random.default_rng(d).dirichlet(np.ones(d)),
+            "near-product": near,
+            "degenerate-top": top,
+            "product": product,
+        }
+        for family, c in families.items():
+            s = make_spectrum(c / c.sum(), d)
+            twirled = twirl_entrywise(build_q0(s).operator).matrix
+            q = build_measurement("q", s).operator.matrix
+            assert np.abs(twirled - q).max() <= 1e-12, (d, family)
 
 
 def test_discrete_identity():
@@ -79,10 +100,10 @@ def test_idempotence_and_trace(d):
 
 
 def test_ab_decompose_t_tilde():
-    from loccdetect.measurements import build_t_tilde
+    from loccdetect.measurements import build_measurement
 
     s = make_spectrum([0.6, 0.4], 2)
-    t = build_t_tilde(s)
+    t = build_measurement("t-tilde", s)
     ab = ab_decompose(t.operator)
     mu = 0.375
     assert abs(ab.b[0, 1] - (1 - mu) * 0.4) <= 1e-12  # 0.25
@@ -95,9 +116,10 @@ def test_ab_decompose_t_tilde():
 
 
 def test_ab_decompose_projector_and_entangled_state():
-    from loccdetect.measurements import build_r
+    from loccdetect.measurements import build_measurement
+    from loccdetect.states import uniform_spectrum
 
-    r = build_r(3)
+    r = build_measurement("r", uniform_spectrum(3))
     ab = ab_decompose(r.operator)
     np.testing.assert_array_equal(ab.a, np.eye(3))
     assert np.abs(ab.b).max() == 0.0
