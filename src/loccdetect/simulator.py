@@ -18,13 +18,17 @@ Each named measurement is realized operationally:
 
 Outcome sampling always uses exact Born marginals and conditionals computed
 from the density matrix, so the acceptance frequency is an unbiased estimate
-of Tr T sigma.  They are tabulated once per state (``OutcomeTables``): for
-each phase rotation w, Alice's outcome law comes from her d x d reduced
-state and Bob's conditional acceptance from the product vectors
-(w * phi_j) (x) (conj(w) * xi_j), and the p rotations sharing one power of
-u are evaluated as one matrix product with sigma.  A root seed
-deterministically derives one child stream per fixed-size shot batch, so
-parallel batch execution would reproduce the serial tally bit for bit.
+of Tr T sigma.  Each request tabulates its protocol's whole outcome law once,
+as one flat table (``OutcomeTables``): cell weights over the branch, the
+phase rotation, the party swap and Alice's outcome, and per cell Bob's
+conditional acceptance.  For each rotation w, Alice's outcome law comes from
+her d x d reduced state and Bob's acceptance from the product vectors
+(w * phi_j) (x) (conj(w) * xi_j); the p rotations sharing one power of u are
+evaluated as one matrix product with sigma.  Every shot is then drawn on its
+own from two uniforms: one picks its cell by inverse CDF, the other decides
+acceptance.  A root seed deterministically derives one child stream per
+fixed-size shot batch, so parallel batch execution would reproduce the
+serial tally bit for bit.
 """
 
 from __future__ import annotations
@@ -45,6 +49,10 @@ SIMULATABLE = ("t-tilde", "t-tilde2", "r", "q", "q0", "product")
 #: Shots per derived child stream; fixed so tallies are seed-reproducible
 #: regardless of how batches are scheduled.
 BATCH_SHOTS = 16384
+
+#: Largest shot count ``simulate`` accepts; 10^10 shots take about two
+#: minutes on one x86-64 core.
+MAX_SHOTS = 10**10
 
 
 @dataclass
@@ -81,7 +89,7 @@ def _snap_conditionals(c: np.ndarray) -> np.ndarray:
 
 
 def _rotation_contexts(sigma: np.ndarray, s: SchmidtSpectrum, rotations: np.ndarray):
-    """Alice's outcome cumulatives and Bob's conditional acceptance, per rotation.
+    """Alice's outcome law and Bob's conditional acceptance, per rotation.
 
     Row r of ``rotations`` is the diagonal w of one phase rotation, under
     which Alice measures the vectors y_j = w * phi_j and Bob tests
@@ -104,7 +112,7 @@ def _rotation_contexts(sigma: np.ndarray, s: SchmidtSpectrum, rotations: np.ndar
     marginal = marginal / total
     with np.errstate(divide="ignore", invalid="ignore"):
         conditional = np.where(marginal > 0, joint / np.maximum(marginal * total, 1e-300), 0.0)
-    return np.cumsum(marginal, axis=1), _snap_conditionals(conditional)
+    return marginal, _snap_conditionals(conditional)
 
 
 def _twirled_contexts(sigma: np.ndarray, d: int, s: SchmidtSpectrum):
@@ -114,13 +122,13 @@ def _twirled_contexts(sigma: np.ndarray, d: int, s: SchmidtSpectrum):
     all p^2 would hold a D x p^2 d matrix at once.
     """
     p, z, u = twirl_unitary_diagonals(d)
-    cums = np.empty((p * p, d))
+    marginals = np.empty((p * p, d))
     conds = np.empty((p * p, d))
     for k in range(p):
         rotations = np.array([u**k * z**l for l in range(p)])
         rows = slice(k * p, (k + 1) * p)
-        cums[rows], conds[rows] = _rotation_contexts(sigma, s, rotations)
-    return p, cums, conds
+        marginals[rows], conds[rows] = _rotation_contexts(sigma, s, rotations)
+    return marginals, conds
 
 
 def _swap_parties(sigma: np.ndarray, d: int) -> np.ndarray:
@@ -128,91 +136,113 @@ def _swap_parties(sigma: np.ndarray, d: int) -> np.ndarray:
     return sigma.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
 
 
-def _matched_cumulative(sigma: np.ndarray) -> np.ndarray:
+def _matched_law(sigma: np.ndarray) -> np.ndarray:
     diag = np.clip(np.real(np.diag(sigma)), 0.0, None)
-    return np.cumsum(diag / diag.sum())
+    return diag / diag.sum()
 
 
 @dataclass
 class OutcomeTables:
     """The finite outcome law a protocol samples from, cell by cell.
 
-    ``matched_cum`` is the cumulative law of the matched-basis readout (the
-    r branch, accepted on outcomes |k (x) k>).  Row c of ``cums`` and
-    ``conds`` is one context of the Fourier branch: the cumulative law of
-    Alice's outcome j and Bob's acceptance given j.  q0 has one context,
-    q and the mixtures the p^2 phase rotations (row k p + l), and
-    ``swapped`` holds the same rows for the role-swapped state (t-tilde2,
-    taken with probability 1/2).  ``mu`` weights the r branch of the
-    mixtures.  ``product`` is (Alice's probability of outcome 0, Bob's
-    acceptance given it).
+    A shot lands on cell c with probability ``weights[c]`` and is then
+    accepted with probability ``accept[c]``.  The cells, in order:
+
+    * ``r``: the D matched-basis outcomes |i (x) j>, accepted iff i = j;
+    * ``q0``: Alice's d Fourier outcomes j, accepted by Bob's test of xi_j;
+    * ``q``: the same d outcomes under each of the p^2 phase rotations,
+      row k p + l, each rotation of weight 1/p^2;
+    * ``t-tilde``: the r cells times mu, then the q cells times 1 - mu;
+    * ``t-tilde2``: the r cells times mu, then the q cells of sigma and
+      of the party-swapped sigma, each times (1 - mu) / 2;
+    * ``product``: Alice's outcome 0 (accepted by Bob's test of |0>) or not.
     """
 
-    p: int = 1
-    cums: np.ndarray | None = None
-    conds: np.ndarray | None = None
-    swapped: tuple[np.ndarray, np.ndarray] | None = None
-    matched_cum: np.ndarray | None = None
-    mu: float | None = None
-    product: tuple[float, float] | None = None
+    weights: np.ndarray
+    accept: np.ndarray
 
 
 def _outcome_tables(name: str, sigma: np.ndarray, s: SchmidtSpectrum, mu: float | None) -> OutcomeTables:
-    """Outcome tables of protocol ``name`` on state ``sigma``."""
+    """Outcome table of protocol ``name`` on state ``sigma``."""
     d = s.d
-    tables = OutcomeTables()
-    if name in ("r", "t-tilde", "t-tilde2"):
-        tables.matched_cum = _matched_cumulative(sigma)
-    if name in ("t-tilde", "t-tilde2"):
-        tables.mu = mu
-    if name == "q0":
-        tables.cums, tables.conds = _rotation_contexts(sigma, s, np.ones((1, d), dtype=complex))
-    if name in ("q", "t-tilde", "t-tilde2"):
-        tables.p, tables.cums, tables.conds = _twirled_contexts(sigma, d, s)
-    if name == "t-tilde2":
-        _, cums_s, conds_s = _twirled_contexts(_swap_parties(sigma, d), d, s)
-        tables.swapped = (cums_s, conds_s)
     if name == "product":
         sig4 = sigma.reshape(d, d, d, d)
         alice0 = float(np.clip(np.real(np.trace(sig4[0, :, 0, :])), 0.0, 1.0))
         joint00 = float(np.real(sigma[0, 0]))
         cond00 = float(_snap_conditionals(np.array([joint00 / alice0 if alice0 > 0 else 0.0]))[0])
-        tables.product = (alice0, cond00)
-    return tables
+        return OutcomeTables(np.array([alice0, 1.0 - alice0]), np.array([cond00, 0.0]))
+    if name == "q0":
+        marginal, cond = _rotation_contexts(sigma, s, np.ones((1, d), dtype=complex))
+        return OutcomeTables(marginal[0], cond[0])
+    # Branches as (probability, law over the branch's cells, acceptance).
+    branches = []
+    if name != "q":
+        matched = np.zeros(d * d)
+        matched[:: d + 1] = 1.0
+        branches.append((1.0 if name == "r" else mu, _matched_law(sigma), matched))
+    if name != "r":
+        states = [sigma, _swap_parties(sigma, d)] if name == "t-tilde2" else [sigma]
+        rest = (1.0 if name == "q" else 1.0 - mu) / len(states)
+        for state in states:
+            marginals, conds = _twirled_contexts(state, d, s)
+            branches.append((rest, marginals.ravel() / len(marginals), conds.ravel()))
+    return OutcomeTables(
+        np.concatenate([weight * law for weight, law, _ in branches]),
+        np.concatenate([accept for _, _, accept in branches]),
+    )
 
 
-def _sample_1d(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # Smallest index whose cumulative weight exceeds u.
-    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+def _inverse_cdf(weights: np.ndarray):
+    """The map u -> cell of a uniform u in [0, 1) under the law ``weights``.
 
+    Cell c takes u iff cum[c-1] <= u < cum[c], with cum the cumulative
+    weights scaled to end at exactly 1, so every u lands on a cell of
+    positive weight; this is ``np.searchsorted(cum, u, side="right")``.
+    The search runs on the cells of positive weight only and without
+    branches: m >= 2n equal buckets (m a power of two, so u m is exact) give
+    each u the count ``lo`` of cells at or below its bucket's lower edge,
+    and a binary search no deeper than the widest bucket adds the rest.
+    """
+    cells = np.flatnonzero(weights > 0)
+    cum = np.cumsum(weights[cells])
+    cum /= cum[-1]
+    m = 1 << (2 * len(cum) - 1).bit_length()
+    lo = np.searchsorted(cum, np.arange(m + 1) / m, side="right")
+    steps = [1 << k for k in reversed(range(int(np.diff(lo).max()).bit_length()))]
+    cum = np.concatenate([cum, np.full(steps[0] if steps else 0, np.inf)])
 
-def _sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # Rowwise variant of _sample_1d for per-shot contexts.
-    j = (cum_rows <= u[:, None]).sum(axis=1)
-    return np.minimum(j, cum_rows.shape[1] - 1)
+    def index(u: np.ndarray) -> np.ndarray:
+        c = lo[(u * m).astype(np.intp)]
+        for h in steps:
+            c += h * (cum[c + (h - 1)] <= u)
+        return cells[c]
+
+    return index
 
 
 def simulate(config: ShotConfig) -> SimResult:
     """Run the protocol shot by shot and tally acceptances.
 
-    The expectation of ``estimate`` equals ``analytic`` = Tr T sigma for the
-    assembled effect; the reported half width is 4 binomial standard errors.
-    Identical seeds reproduce the acceptance sequence exactly.
+    Each shot draws one uniform for its cell of the protocol's outcome
+    table and one for Bob's acceptance in that cell.  The expectation of
+    ``estimate`` equals ``analytic`` = Tr T sigma for the assembled effect;
+    the reported half width is 4 binomial standard errors.  Identical seeds
+    reproduce the acceptance sequence exactly.  More than ``MAX_SHOTS``
+    shots are refused before any work starts.
     """
     name = config.measurement
     if name not in SIMULATABLE:
         raise ValidationError(
             f"measurement {name!r} is not simulatable (choose from {SIMULATABLE})"
         )
+    if not 1 <= config.shots <= MAX_SHOTS:
+        raise ValidationError(f"shots must lie in [1, {MAX_SHOTS}], got {config.shots}")
     require_density_matrix(config.sigma, what="sigma")
     s = config.spectrum
     if config.sigma.local_dim != s.d:
         raise ValidationError(
             f"sigma local_dim {config.sigma.local_dim} does not match spectrum dimension {s.d}"
         )
-    if config.shots < 1:
-        raise ValidationError(f"shots must be >= 1, got {config.shots}")
-    d = s.d
     sigma = config.sigma.matrix
     effect = build_measurement(name, s)
     # Tr T sigma as an O(D^2) entrywise sum, snapped like the conditionals
@@ -222,12 +252,7 @@ def simulate(config: ShotConfig) -> SimResult:
     analytic = float(_snap_conditionals(np.array([raw]))[0])
 
     tables = _outcome_tables(name, sigma, s, effect.mu)
-    mu, matched_cum, swapped = tables.mu, tables.matched_cum, tables.swapped
-    if name == "q0":
-        cum0, cond0 = tables.cums[0], tables.conds[0]
-    if name == "product":
-        alice0, cond00 = tables.product
-
+    cell_of, accept = _inverse_cdf(tables.weights), tables.accept
     accepts = 0
     seed = config.seed
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -237,39 +262,8 @@ def simulate(config: ShotConfig) -> SimResult:
     for batch in range(n_batches):
         nb = min(BATCH_SHOTS, config.shots - batch * BATCH_SHOTS)
         rng = np.random.default_rng(root.spawn(1)[0])
-        if name == "r":
-            m = _sample_1d(matched_cum, rng.random(nb))
-            accept = m % (d + 1) == 0
-        elif name == "q0":
-            u_alice = rng.random(nb)
-            u_bob = rng.random(nb)
-            j = _sample_1d(cum0, u_alice)
-            accept = u_bob < cond0[j]
-        elif name == "product":
-            accept = (rng.random(nb) < alice0) & (rng.random(nb) < cond00)
-        else:
-            p, cums, conds = tables.p, tables.cums, tables.conds
-            u_branch = rng.random(nb)
-            ks = rng.integers(0, p, size=nb)
-            ls = rng.integers(0, p, size=nb)
-            u_swap = rng.random(nb)
-            u_alice = rng.random(nb)
-            u_bob = rng.random(nb)
-            ctx = ks * p + ls
-            cum_rows, cond_rows = cums[ctx], conds[ctx]
-            if name == "t-tilde2":
-                flip = u_swap < 0.5
-                cum_rows = np.where(flip[:, None], swapped[0][ctx], cum_rows)
-                cond_rows = np.where(flip[:, None], swapped[1][ctx], cond_rows)
-            j = _sample_rows(cum_rows, u_alice)
-            accept_q = u_bob < cond_rows[np.arange(nb), j]
-            if name == "q":
-                accept = accept_q
-            else:
-                m = _sample_1d(matched_cum, u_alice)
-                accept_r = m % (d + 1) == 0
-                accept = np.where(u_branch < mu, accept_r, accept_q)
-        accepts += int(accept.sum())
+        cells = cell_of(rng.random(nb))
+        accepts += int(np.count_nonzero(rng.random(nb) < accept[cells]))
 
     estimate = accepts / config.shots
     ci = 4.0 * float(np.sqrt(max(analytic * (1.0 - analytic), 0.0) / config.shots))

@@ -6,6 +6,7 @@ import signal
 import numpy as np
 import pytest
 
+from loccdetect import simulator
 from loccdetect.cli import run
 from loccdetect.measurements import MEASUREMENT_NAMES
 
@@ -129,6 +130,18 @@ def test_simulate_named_sigma(capsys):
     assert code == 0
     fields = parse_records(out)
     assert abs(float(fields["analytic"]) - 1.0 / 3.0) <= 1e-9
+
+
+def test_simulate_refuses_shots_above_cap(monkeypatch, capsys):
+    def no_sampling(*args):
+        raise AssertionError("simulate built an outcome table past the shot cap")
+
+    monkeypatch.setattr(simulator, "_outcome_tables", no_sampling)
+    code = run(["simulate", "--schmidt", "0.5,0.5", "--shots", "100000000000", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: shots must lie in [1, ")
 
 
 def test_asymptotic_csv(tmp_path, capsys):

@@ -135,34 +135,6 @@ def test_analytic_near_one_is_snapped():
 # ---------------------------------------------------------------------------
 
 
-def cell_probabilities(cums):
-    # _sample_1d and _sample_rows give index j the mass cum[j] - cum[j - 1],
-    # and the last index everything above cum[-2].
-    n = cums.shape[:-1]
-    return np.diff(np.concatenate([np.zeros(n + (1,)), cums[..., :-1], np.ones(n + (1,))], -1), axis=-1)
-
-
-def fourier_acceptance(cums, conds):
-    return float(np.mean(np.sum(cell_probabilities(cums) * conds, axis=-1)))
-
-
-def law_acceptance(tables, d):
-    """Sum over the sampler's cells of P(cell) P(accept | cell)."""
-    if tables.product is not None:
-        alice0, cond00 = tables.product
-        return alice0 * cond00
-    if tables.cums is not None:
-        q = fourier_acceptance(tables.cums, tables.conds)
-        if tables.swapped is not None:
-            q = 0.5 * (q + fourier_acceptance(*tables.swapped))
-    r = None
-    if tables.matched_cum is not None:
-        r = float(cell_probabilities(tables.matched_cum)[:: d + 1].sum())
-    if tables.mu is None:
-        return q if r is None else r
-    return tables.mu * r + (1.0 - tables.mu) * q
-
-
 def random_rank3_state(d, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d * d, 3)) + 1j * rng.standard_normal((d * d, 3))
@@ -188,18 +160,34 @@ def law_states(name, s):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("name", SIMULATABLE)
 def test_outcome_tables_give_exact_acceptance(name, d):
+    # Sum over the sampler's cells of P(cell) P(accept | cell).
     s = law_spectrum(d)
     effect = build_measurement(name, s)
     for sigma in law_states(name, s):
         tables = simulator._outcome_tables(name, sigma.matrix, s, effect.mu)
         exact = float(np.real(np.trace(effect.operator.matrix @ sigma.matrix)))
-        assert abs(law_acceptance(tables, d) - exact) <= 1e-12
+        assert abs(float(tables.weights @ tables.accept) - exact) <= 1e-12
 
 
 def alice_born(sigma, y):
     """Tr[(|y><y| (x) I) sigma], from the full state."""
     d = len(y)
     return float(np.real(np.trace(np.kron(np.outer(y, y.conj()), np.eye(d)) @ sigma)))
+
+
+def fourier_blocks(name, tables, d, mu):
+    """The table's Fourier cells as one (rotations, d) law per state.
+
+    Inverts the block weights of ``OutcomeTables``: after the D matched
+    cells of the mixtures, each state's p^2 rotations share ``rest``.
+    """
+    if name == "q0":
+        return [tables.weights[None, :]]
+    start = 0 if name == "q" else d * d
+    blocks = 2 if name == "t-tilde2" else 1
+    rest = (1.0 if name == "q" else 1.0 - mu) / blocks
+    cells = tables.weights[start:].reshape(blocks, -1, d)
+    return [block * (len(block) / rest) for block in cells]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -224,20 +212,74 @@ def test_outcome_tables_give_alice_born_marginals(name, d):
         m = sigma.matrix
         tables = simulator._outcome_tables(name, m, s, mu)
         if name == "r":
-            cells = cell_probabilities(tables.matched_cum)
-            assert np.abs(cells - np.real(np.diag(m))).max() <= 1e-12
+            assert np.abs(tables.weights - np.real(np.diag(m))).max() <= 1e-12
             continue
         if name == "product":
-            assert abs(tables.product[0] - alice_born(m, np.eye(d)[0])) <= 1e-12
+            assert abs(tables.weights[0] - alice_born(m, np.eye(d)[0])) <= 1e-12
             continue
-        contexts = [(tables.cums, m)]
-        if name == "t-tilde2":
-            contexts.append((tables.swapped[0], swap @ m @ swap))
-        for cums, state in contexts:
-            cells = cell_probabilities(cums)
+        states = [m, swap @ m @ swap] if name == "t-tilde2" else [m]
+        for cells, state in zip(fourier_blocks(name, tables, d, mu), states, strict=True):
             for row, w in enumerate(rotations):
                 born = [alice_born(state, w * phi[:, j]) for j in range(d)]
                 assert np.abs(cells[row] - born).max() <= 1e-12, row
+
+
+GRID = 1_000_000
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", SIMULATABLE)
+def test_cell_draw_on_stratified_grid(name, d):
+    # The sampler's inverse CDF on u_k = (k + 1/2) / N, no RNG: cell c takes
+    # N w_c grid points to within one, cells of zero weight (r's
+    # off-diagonal cells on the target, many cells on |0 1>) take none, and
+    # the ends u = 0 and u -> 1 land on the first and last cells of
+    # positive weight.
+    s = law_spectrum(d)
+    mu = build_measurement(name, s).mu
+    u = (np.arange(GRID) + 0.5) / GRID
+    ends = np.array([0.0, np.nextafter(1.0, 0.0)])
+    states = [schmidt_state(s).density, make_sigma("basis:0,1", s), make_sigma("orthogonal-uniform", s)]
+    for sigma in states:
+        w = simulator._outcome_tables(name, sigma.matrix, s, mu).weights
+        cell_of = simulator._inverse_cdf(w)
+        counts = np.bincount(cell_of(u), minlength=len(w))
+        assert len(counts) == len(w)
+        assert np.abs(counts - np.round(GRID * w)).max() <= 1
+        assert not counts[w == 0].any()
+        positive = np.flatnonzero(w > 0)
+        assert list(cell_of(ends)) == [positive[0], positive[-1]]
+    if name == "r":
+        target, basis = (simulator._outcome_tables(name, m.matrix, s, mu).weights for m in states[:2])
+        off_diagonal = np.arange(d * d) % (d + 1) != 0
+        assert not target[off_diagonal].any()
+        assert basis[0] == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", SIMULATABLE)
+def test_inverse_cdf_matches_searchsorted(name, d):
+    # Reference: binary search over all cells, on random u, on every
+    # cumulative weight itself and on every bucket edge b / 2^14.  The law
+    # states include worst-case states, whose tiny weights crowd buckets.
+    s = law_spectrum(d)
+    mu = build_measurement(name, s).mu
+    rng = np.random.default_rng(70 + d)
+    for sigma in law_states(name, s):
+        w = simulator._outcome_tables(name, sigma.matrix, s, mu).weights
+        cum = np.cumsum(w)
+        cum /= cum[-1]
+        u = np.concatenate([rng.random(20_000), cum[cum < 1.0], np.arange(2**14) / 2**14])
+        assert np.array_equal(simulator._inverse_cdf(w)(u), np.searchsorted(cum, u, side="right"))
+
+
+def test_cell_draw_top_end_skips_trailing_zero_cell():
+    # These weights sum to 1 - 2^-53 in floating point, so a cumulative not
+    # scaled to end at 1 would send u -> 1 to the last cell, of weight 0.
+    m = np.diag([0.44772549520795535, 0.4082315280371743, 0.14404297675487046, 0.0])
+    tables = simulator._outcome_tables("r", m.astype(complex), S64, None)
+    assert np.cumsum(tables.weights)[-1] < 1.0
+    assert simulator._inverse_cdf(tables.weights)(np.array([np.nextafter(1.0, 0.0)])) == [2]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -247,9 +289,9 @@ def test_twirled_contexts_match_per_rotation_loop(d):
     # replaces.
     s = make_spectrum(np.sort(np.random.default_rng(60 + d).dirichlet(np.ones(d)))[::-1], d)
     sigma = random_rank3_state(d, 61 + d).matrix
-    p, cums, conds = simulator._twirled_contexts(sigma, d, s)
+    marginals, conds = simulator._twirled_contexts(sigma, d, s)
     phi, xi = fourier_basis(d), matched_vectors(s)
-    _, z, u = twirl_unitary_diagonals(d)
+    p, z, u = twirl_unitary_diagonals(d)
     for k in range(p):
         for l in range(p):
             v = np.kron(u**k * z**l, (u**k * z**l).conj())
@@ -261,13 +303,13 @@ def test_twirled_contexts_match_per_rotation_loop(d):
                  for j in range(d)]
             )
             row = k * p + l
-            assert np.abs(cums[row] - np.cumsum(marginal) / marginal.sum()).max() <= 1e-13
+            assert np.abs(marginals[row] - marginal / marginal.sum()).max() <= 1e-13
             assert np.abs(conds[row] - np.clip(joint / marginal, 0.0, 1.0)).max() <= 1e-12
 
 
 @pytest.mark.parametrize(
     "name,accepts",
-    [("t-tilde2", 12801), ("t-tilde", 12817), ("q", 12620), ("q0", 12357), ("r", 12488),
+    [("t-tilde2", 12391), ("t-tilde", 12388), ("q", 12357), ("q0", 12357), ("r", 12488),
      ("product", 3091)],
 )
 def test_multi_batch_tally_is_pinned(name, accepts):
