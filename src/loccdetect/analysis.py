@@ -1,22 +1,25 @@
 """Error probabilities and bounds for detecting a known pure state.
 
 The central computation is the exact worst case of a fixed accept effect T
-over all states with bounded overlap against the target psi:
+over all states with bounded overlap against the pure target psi, passed
+as its ket (a PureState), with rho = |psi><psi|:
 
     sup { Tr T sigma : sigma >= 0, Tr sigma = 1, Tr rho sigma <= theta }.
 
-One eigensolve of T compressed onto the complement of psi gives its top
-eigenvalue m.  When psi is an eigenvector of T with eigenvalue p, as for
-every named measurement except the product test, the answer is
-m + theta max(0, p - m) in closed form.  When T = t |a><a| has rank one,
-as for the product test, the triangle inequality for the angles between
-pure states gives t (sqrt(theta p) + sqrt((1 - theta)(1 - p)))^2 with
-p = |<a|psi>|^2 (t when theta >= p).  Any other effect goes to the
+Past the validation of T, a named effect costs one eigensolve: of T
+compressed onto the complement of psi by one Householder reflector, which
+gives its top eigenvalue m.  When psi is an eigenvector of T with
+eigenvalue p, as for every named measurement except the product test, the
+answer is m + theta max(0, p - m) in closed form.  When T = t |a><a| has
+rank one, as for the product test, the triangle inequality for the angles
+between pure states gives t (sqrt(theta p) + sqrt((1 - theta)(1 - p)))^2
+with p = |<a|psi>|^2 (t when theta >= p).  Any other effect goes to the
 Lagrangian dual min_{mu >= 0} lambda_max(T - mu rho) + mu theta, a convex
 scalar problem solved by golden-section search; the primal maximizer is
 rebuilt from the top eigenvector at the optimum.  Every path checks the
 duality gap.  Around that sit the closed-form upper and lower bounds for
-the constructed measurements and the report assembling them.
+the constructed measurements, the report assembling them and the
+prior-weighted error, which reuses the report's worst case.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .operators import (
     require_density_matrix,
     validate_povm_element,
 )
-from .states import SchmidtSpectrum, reduced_spectrum, schmidt_state
-from .twirl import twirl_defect
+from .states import PureState, SchmidtSpectrum, schmidt_state
+from .twirl import ab_decompose, twirl_defect
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -102,26 +105,27 @@ class AdversaryResult:
     dual_mu: float
 
 
-def _pure_ket(rho: BipartiteOperator) -> np.ndarray:
-    values, vectors = np.linalg.eigh(rho.matrix)
-    if abs(values[-1] - 1.0) > 1e-8 or abs(float(values.sum()) - 1.0) > 1e-8:
-        raise ContractError("reference state must be a rank-one density matrix")
-    return vectors[:, -1]
-
-
-def _complement_basis(ket: np.ndarray) -> np.ndarray:
-    # QR of [ket | I] puts ket (normalized) in the first column and an
-    # orthonormal basis of its complement in the remaining D - 1 columns.
-    dim = ket.shape[0]
-    q, _ = np.linalg.qr(np.concatenate([ket[:, None], np.eye(dim, dtype=complex)], axis=1))
-    return q[:, 1:dim]
-
-
 def _complement_top(tm: np.ndarray, ket: np.ndarray) -> tuple[float, np.ndarray]:
-    """Top eigenvalue m and eigenvector chi of T compressed onto ket's complement."""
-    basis = _complement_basis(ket)
-    cw, cv = np.linalg.eigh(basis.conj().T @ tm @ basis)
-    return float(cw[-1]), basis @ cv[:, -1]
+    """Top eigenvalue m and eigenvector chi of T compressed onto ket's complement.
+
+    The Householder reflector H = I - 2 u u^dagger pivoted at k = argmax |ket_k|
+    maps ket to a multiple of e_k (Golub and Van Loan, Matrix Computations,
+    5.1).  So H T H = T - 2 (u z^dagger + z u^dagger), z = T u - (u^dagger T u) u,
+    less row and column k is the compression, formed in O(D^2).
+    """
+    k = int(np.argmax(np.abs(ket)))
+    u = ket.copy()
+    u[k] += ket[k] / abs(ket[k])
+    u /= np.linalg.norm(u)
+    tu = tm @ u
+    z = tu - np.real(np.vdot(u, tu)) * u
+    keep = np.arange(len(ket)) != k
+    uk, zk = u[keep], z[keep]
+    compressed = tm[np.ix_(keep, keep)] - 2.0 * (np.outer(uk, zk.conj()) + np.outer(zk, uk.conj()))
+    cw, cv = np.linalg.eigh(compressed)
+    chi = np.zeros_like(ket)
+    chi[keep] = cv[:, -1]
+    return float(cw[-1]), chi - 2.0 * np.vdot(u, chi) * u
 
 
 def _retune_overlap(v: np.ndarray, ket: np.ndarray, theta: float) -> np.ndarray | None:
@@ -164,18 +168,21 @@ def _eigenspace_candidates(values, vectors, ket: np.ndarray, theta: float) -> li
     return out
 
 
-def worst_case_value(t: BipartiteOperator, rho: BipartiteOperator, theta: float) -> AdversaryResult:
-    """Exact sup of Tr T sigma over states with Tr rho sigma <= theta.
+def worst_case_value(effect: BipartiteOperator, state: PureState, theta: float) -> AdversaryResult:
+    """Exact sup of Tr T sigma over states with <psi|sigma|psi> <= theta.
 
-    Let m be the top eigenvalue of T compressed onto the complement of the
-    target psi, with eigenvector chi.  theta = 0 restricts the adversary to
-    that complement, so the answer is m with sigma* = |chi><chi|.
+    psi is the ket of the pure target ``state``, so no path eigensolves rho =
+    |psi><psi|; the one D x D eigensolve validates 0 <= T <= I and gives ||T||.
+    Let m be the top eigenvalue of T compressed onto the complement of psi,
+    with eigenvector chi.  theta = 0 restricts the adversary to that
+    complement, so the answer is m with sigma* = |chi><chi|.
 
     For theta > 0, when psi is an eigenvector of T (T psi = p psi up to
     1e-12 max(1, ||T||), as for every named effect except ``product``), the
     answer is m + theta max(0, p - m) in closed form.  sigma* is theta rho
     + (1 - theta) |chi><chi| when p >= m and |chi><chi| otherwise, and the
-    optimal multiplier is max(0, p - m), read as 0 within the same scale.
+    optimal multiplier is max(0, p - m); both read p - m as 0 within the
+    same scale.
 
     Otherwise, when T has rank one (Tr T - lambda_max(T) within the same
     scale, as for ``product``), the answer is the closed form of
@@ -183,26 +190,25 @@ def worst_case_value(t: BipartiteOperator, rho: BipartiteOperator, theta: float)
     compressed eigensolve.  Any other effect goes to the convex dual
     g(mu) = lambda_max(T - mu rho) + mu theta, minimized by golden-section
     search (see _dual_worst_case).  On every path a primal-dual gap above
-    1e-6 raises NumericalFailureError.
+    1e-6 raises NumericalFailureError; a theta outside [0, 1] or an effect of
+    another local dimension than the target's raises ValidationError.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValidationError(f"theta must lie in [0, 1], got {theta!r}")
-    verdict = validate_povm_element(t, check_ppt=False)
+    if effect.local_dim != state.spectrum.d:
+        raise ValidationError(f"effect local_dim {effect.local_dim} != target {state.spectrum.d}")
+    verdict = validate_povm_element(effect, check_ppt=False)
     if not verdict.passed:
         raise ContractError(
             f"effect is not a POVM element: eigenvalues in "
             f"[{verdict.min_eigenvalue:.3e}, {verdict.max_eigenvalue:.6f}]"
         )
-    tm = t.matrix
-    ket = _pure_ket(rho)
+    tm = effect.matrix
+    ket = state.ket
     if theta == 0.0:
         restricted_top, chi = _complement_top(tm, ket)
-        sigma = np.outer(chi, chi.conj())
-        return AdversaryResult(
-            value=restricted_top,
-            sigma_star=BipartiteOperator(t.local_dim, sigma),
-            dual_mu=math.inf,
-        )
+        sigma = BipartiteOperator(effect.local_dim, np.outer(chi, chi.conj()))
+        return AdversaryResult(value=restricted_top, sigma_star=sigma, dual_mu=math.inf)
 
     op_norm = max(abs(verdict.min_eigenvalue), abs(verdict.max_eigenvalue))
     t_ket = tm @ ket
@@ -211,23 +217,23 @@ def worst_case_value(t: BipartiteOperator, rho: BipartiteOperator, theta: float)
     if float(np.linalg.norm(t_ket - p * ket)) > scale:
         trace = float(np.real(np.trace(tm)))
         if trace - verdict.max_eigenvalue <= scale:
-            result = _rank_one_worst_case(t, ket, theta, verdict.max_eigenvalue)
+            result = _rank_one_worst_case(effect, ket, theta, verdict.max_eigenvalue)
             if result is not None:
                 return result
         _, chi = _complement_top(tm, ket)
-        return _dual_worst_case(t, rho, theta, ket, chi, op_norm)
+        return _dual_worst_case(effect, theta, ket, chi, op_norm)
 
     restricted_top, chi = _complement_top(tm, ket)
     excess = p - restricted_top
     mu = excess if excess > scale else 0.0
     value = restricted_top + theta * mu
     sigma = np.outer(chi, chi.conj())
-    if excess >= 0.0:
-        sigma = theta * rho.matrix + (1.0 - theta) * sigma
+    if excess >= -scale:
+        sigma = theta * state.density.matrix + (1.0 - theta) * sigma
     _check_gap(value, float(np.real(np.vdot(sigma, tm))))
     return AdversaryResult(
         value=value,
-        sigma_star=BipartiteOperator(t.local_dim, 0.5 * (sigma + sigma.conj().T)),
+        sigma_star=BipartiteOperator(effect.local_dim, 0.5 * (sigma + sigma.conj().T)),
         dual_mu=mu,
     )
 
@@ -277,7 +283,6 @@ def _check_gap(dual: float, primal: float) -> None:
 
 def _dual_worst_case(
     t: BipartiteOperator,
-    rho: BipartiteOperator,
     theta: float,
     ket: np.ndarray,
     chi: np.ndarray,
@@ -287,15 +292,15 @@ def _dual_worst_case(
 
     g(mu) = lambda_max(T - mu rho) + mu theta is minimized by golden-section
     search on [0, 2 ||T|| / max(theta, 1e-6)] to relative bracket width
-    1e-10.  ``ket`` is the target vector and ``chi`` the top eigenvector of
-    T on its complement.  The primal state is taken as the best of the top
-    eigenvector at the optimal mu (mixed with the target only as needed to
-    meet the constraint with equality), the eigenspace mixtures of
-    _eigenspace_candidates and the always-feasible mixture theta * rho +
-    (1 - theta) |chi><chi|.
+    1e-10.  ``ket`` is the target vector, whose projector rho is formed here,
+    and ``chi`` the top eigenvector of T on its complement.  The primal state
+    is taken as the best of the top eigenvector at the optimal mu (mixed with
+    the target only as needed to meet the constraint with equality), the
+    eigenspace mixtures of _eigenspace_candidates and the always-feasible
+    mixture theta * rho + (1 - theta) |chi><chi|.
     """
     tm = t.matrix
-    rm = rho.matrix
+    rm = np.outer(ket, ket.conj())
 
     def dual(mu: float) -> float:
         return float(np.linalg.eigvalsh(tm - mu * rm)[-1]) + mu * theta
@@ -414,9 +419,9 @@ def error_report(
     """
     if measurement is None:
         measurement = build_measurement("t-tilde", s)
-    rho = schmidt_state(s)
-    accept = float(np.real(np.vdot(rho.ket, measurement.operator.matrix @ rho.ket)))
-    adversary = worst_case_value(measurement.operator, rho.density, theta)
+    state = schmidt_state(s)
+    accept = float(np.real(np.vdot(state.ket, measurement.operator.matrix @ state.ket)))
+    adversary = worst_case_value(measurement.operator, state, theta)
     p_err = 0.5 * ((1.0 - accept) + adversary.value)
     lower_thm2 = bound_lower_blindspot(s.lam, s.alpha, theta)
     lower_simple = bound_lower_simple(s.lam, s.d)
@@ -510,29 +515,26 @@ def verify_blind_spot_bound(t: BipartiteOperator, s: SchmidtSpectrum) -> Verdict
 
 
 def prior_weighted_worst_case(
-    t: BipartiteOperator, rho: BipartiteOperator, theta: float, pi0: float
+    t: BipartiteOperator, state: PureState, theta: float, pi0: float, worst_case: float
 ) -> float:
-    """Worst-case error under priors: pi0 Tr (I-T) rho + pi1 sup Tr T sigma.
+    """Worst-case error under priors: pi0 <psi|(I-T)|psi> + pi1 worst_case.
 
-    For theta = 0 and a symmetric PPT effect on a non-product state the
-    result is floor-checked against min(pi0, pi1 * 2 lam alpha^2 /
-    (2 + 7 alpha)); a violation would mean a numerical fault, not a
-    property of the inputs.
+    ``worst_case`` is sup Tr T sigma as worst_case_value already found it
+    (``ErrorReport.worst_case_value``); nothing is solved here.  For theta = 0
+    and a symmetric PPT effect on a non-product state the result is
+    floor-checked, in O(D^2) and with no eigensolve, against min(pi0, pi1 *
+    2 lam alpha^2 / (2 + 7 alpha)); a violation would mean a numerical fault.
     """
     if not 0.0 < pi0 < 1.0:
         raise ValidationError(f"pi0 must lie in (0, 1), got {pi0!r}")
     pi1 = 1.0 - pi0
-    accept = float(np.real(np.trace(t.matrix @ rho.matrix)))
-    adversary = worst_case_value(t, rho, theta)
-    result = pi0 * (1.0 - accept) + pi1 * adversary.value
-    if theta == 0.0:
-        coeffs = reduced_spectrum(rho)
-        lam = float(coeffs[0])
-        alpha = math.sqrt(coeffs[1] / coeffs[0]) if coeffs[1] > 0 else 0.0
-        if alpha > 0.0 and twirl_defect(t) <= 1e-10 and validate_povm_element(t).ppt:
-            floor = min(pi0, pi1 * 2.0 * lam * alpha**2 / (2.0 + 7.0 * alpha))
-            if result < floor - 1e-9:
-                raise NumericalFailureError(
-                    f"prior-weighted error {result!r} fell below its floor {floor!r}"
-                )
+    accept = float(np.real(np.vdot(state.ket, t.matrix @ state.ket)))
+    result = pi0 * (1.0 - accept) + pi1 * worst_case
+    lam, alpha = state.spectrum.lam, state.spectrum.alpha
+    if theta == 0.0 and alpha > 0.0 and twirl_defect(t) <= 1e-10 and ab_decompose(t).ppt_form():
+        floor = min(pi0, pi1 * 2.0 * lam * alpha**2 / (2.0 + 7.0 * alpha))
+        if result < floor - 1e-9:
+            raise NumericalFailureError(
+                f"prior-weighted error {result!r} fell below its floor {floor!r}"
+            )
     return result

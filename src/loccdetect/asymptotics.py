@@ -110,7 +110,7 @@ def cross_validate_small_n(s: SchmidtSpectrum, theta: float, n: int) -> VerdictW
     spectrum_n = tensor_power_spectrum(s, n)
     rho_n = schmidt_state(spectrum_n)
     measurement = build_measurement("t-tilde", spectrum_n)
-    adversary = worst_case_value(measurement.operator, rho_n.density, theta**n)
+    adversary = worst_case_value(measurement.operator, rho_n, theta**n)
     accept = float(np.real(np.vdot(rho_n.ket, measurement.operator.matrix @ rho_n.ket)))
     p_err = 0.5 * ((1.0 - accept) + adversary.value)
     lam_n = spectrum_n.lam

@@ -67,8 +67,8 @@ def _cmd_bounds(args) -> int:
     report = error_report(spectrum, args.theta, measurement)
     payload = report.to_text()
     if args.priors is not None:
-        rho = schmidt_state(spectrum).density
-        weighted = prior_weighted_worst_case(measurement.operator, rho, args.theta, args.priors)
+        weighted = prior_weighted_worst_case(measurement.operator, schmidt_state(spectrum),
+                                             args.theta, args.priors, report.worst_case_value)
         payload += f"\nprior_weighted = {weighted:.12g}"
     _emit(args, payload)
     return 0
@@ -80,8 +80,7 @@ def _cmd_adversary(args) -> int:
         effect = read_operator(args.measurement_file)
     else:
         effect = build_measurement(args.measurement, spectrum, mu=args.mu).operator
-    rho = schmidt_state(spectrum).density
-    result = worst_case_value(effect, rho, args.theta)
+    result = worst_case_value(effect, schmidt_state(spectrum), args.theta)
     write_operator(result.sigma_star, args.sigma_out)
     payload = "\n".join(
         [

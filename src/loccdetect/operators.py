@@ -164,7 +164,8 @@ def require_density_matrix(op: BipartiteOperator, what: str = "state") -> None:
 # ---------------------------------------------------------------------------
 #
 # A JSON document with fields ``local_dim`` and ``entries``, the latter a
-# row-major list of [re, im] pairs of length d^4.  JSON floats use the
+# row-major list of [re, im] pairs of length d^4, and an optional ``format``
+# tag that must read FILE_FORMAT_TAG when present.  JSON floats use the
 # shortest round-tripping decimal representation, so read(write(op)) is
 # bit-exact.
 
@@ -187,6 +188,8 @@ def operator_from_json(text: str) -> BipartiteOperator:
         raise ValidationError(f"operator file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "local_dim" not in doc or "entries" not in doc:
         raise ValidationError("operator file must contain 'local_dim' and 'entries'")
+    if doc.get("format", FILE_FORMAT_TAG) != FILE_FORMAT_TAG:
+        raise ValidationError(f"unknown operator file format {doc['format']!r}")
     d = doc["local_dim"]
     entries = doc["entries"]
     if not isinstance(d, int) or d < 2:

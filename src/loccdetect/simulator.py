@@ -289,9 +289,8 @@ def make_sigma(
         m = (np.eye(d * d) - rho.matrix) / (d * d - 1)
         return BipartiteOperator(d, m)
     if family == "worst-case":
-        rho = schmidt_state(spectrum).density
         effect = build_measurement(measurement, spectrum)
-        return worst_case_value(effect.operator, rho, theta).sigma_star
+        return worst_case_value(effect.operator, schmidt_state(spectrum), theta).sigma_star
     if family.startswith("basis:"):
         try:
             i, j = (int(part) for part in family[len("basis:"):].split(","))

@@ -113,10 +113,3 @@ def tensor_power_spectrum(s: SchmidtSpectrum, n: int) -> SchmidtSpectrum:
         products = np.multiply.outer(products, s.coeffs).reshape(-1)
     return make_spectrum(products, len(products))
 
-
-def reduced_spectrum(rho: BipartiteOperator) -> np.ndarray:
-    """Descending eigenvalues of the first-factor reduced state of rho."""
-    d = rho.local_dim
-    reduced = np.trace(rho.matrix.reshape(d, d, d, d), axis1=1, axis2=3)
-    values = np.linalg.eigvalsh(reduced)[::-1]
-    return np.clip(values, 0.0, None)

@@ -77,12 +77,12 @@ def test_criterion_3_guarantee_equalities():
     for _ in range(20):
         d = int(rng.integers(2, 7))
         s = random_spectrum(rng, d)
-        rho = schmidt_state(s).density
+        st = schmidt_state(s)
         one_way = build_measurement("t-tilde", s)
         two_way = build_measurement("t-tilde2", s)
         for theta in (0.0, 0.2, 0.5, 0.9):
-            p1 = 0.5 * worst_case_value(one_way.operator, rho, theta).value
-            p2 = 0.5 * worst_case_value(two_way.operator, rho, theta).value
+            p1 = 0.5 * worst_case_value(one_way.operator, st, theta).value
+            p2 = 0.5 * worst_case_value(two_way.operator, st, theta).value
             worst = max(worst, abs(p1 - (theta + s.lam) / (2.0 * (1.0 + s.lam))))
             lb = s.lam * s.beta
             worst = max(worst, abs(p2 - (theta + lb) / (2.0 * (1.0 + lb))))
@@ -135,7 +135,7 @@ def test_criterion_6_adversary_oracle():
         s = random_spectrum(rng, d)
         st = schmidt_state(s)
         theta = float(rng.uniform(0.0, 1.0))
-        value = worst_case_value(t, st.density, theta).value
+        value = worst_case_value(t, st, theta).value
         dim = d * d
         vs = rng.standard_normal((10_000, dim)) + 1j * rng.standard_normal((10_000, dim))
         vs /= np.linalg.norm(vs, axis=1)[:, None]

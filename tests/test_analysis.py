@@ -19,9 +19,14 @@ from loccdetect.measurements import (
     MEASUREMENT_NAMES,
     build_measurement,
 )
-from loccdetect.operators import BipartiteOperator
+from loccdetect.operators import BipartiteOperator, validate_povm_element
 from loccdetect.states import make_spectrum, schmidt_state, uniform_spectrum
-from loccdetect.twirl import random_phi_symmetric_ppt
+from loccdetect.twirl import (
+    ABDecomposition,
+    ab_decompose,
+    random_phi_symmetric_ppt,
+    twirl_defect,
+)
 
 S64 = make_spectrum([0.6, 0.4], 2)
 S55 = make_spectrum([0.5, 0.5], 2)
@@ -59,30 +64,32 @@ def feasible_random_search(t, ket, theta, rng, trials):
 
 
 def test_worst_case_t_tilde_closed_forms():
-    rho = schmidt_state(S64).density
+    st = schmidt_state(S64)
     t = build_measurement("t-tilde", S64).operator
-    adv = worst_case_value(t, rho, 0.2)
+    adv = worst_case_value(t, st, 0.2)
     assert abs(adv.value - 0.5) <= 1e-9  # (theta + lam)/(1 + lam)
-    adv0 = worst_case_value(t, rho, 0.0)
+    adv0 = worst_case_value(t, st, 0.0)
     assert abs(adv0.value - 0.375) <= 1e-9  # lam/(1 + lam)
     assert adv0.dual_mu == np.inf
 
 
 def test_worst_case_helstrom_effect_saturates_overlap():
-    rho = schmidt_state(S64).density
+    st = schmidt_state(S64)
     t = build_measurement("helstrom", S64).operator
     for theta in (0.0, 0.3, 0.7):
-        adv = worst_case_value(t, rho, theta)
+        adv = worst_case_value(t, st, theta)
         assert abs(adv.value - theta) <= 1e-9
 
 
 def test_worst_case_rejects_bad_inputs():
-    rho = schmidt_state(S64).density
+    st = schmidt_state(S64)
     t = build_measurement("t-tilde", S64).operator
     with pytest.raises(ValidationError):
-        worst_case_value(t, rho, 1.5)
+        worst_case_value(t, st, 1.5)
     with pytest.raises(ContractError):
-        worst_case_value(BipartiteOperator(2, 2 * np.eye(4)), rho, 0.2)
+        worst_case_value(BipartiteOperator(2, 2 * np.eye(4)), st, 0.2)
+    with pytest.raises(ValidationError, match="local_dim 3"):
+        worst_case_value(BipartiteOperator(3, 0.5 * np.eye(9)), st, 0.2)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -95,7 +102,7 @@ def test_worst_case_primal_dual_agreement(seed):
         s = random_spectrum(rng, d)
         st = schmidt_state(s)
         theta = float(rng.uniform(0.0, 1.0))
-        adv = worst_case_value(t, st.density, theta)
+        adv = worst_case_value(t, st, theta)
         sig = adv.sigma_star.matrix
         assert abs(np.trace(sig).real - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(sig)[0] >= -1e-10
@@ -113,7 +120,7 @@ def test_worst_case_never_beaten_by_random_search(seed):
         s = random_spectrum(rng, d)
         st = schmidt_state(s)
         theta = float(rng.uniform(0.0, 0.9))
-        adv = worst_case_value(t, st.density, theta)
+        adv = worst_case_value(t, st, theta)
         brute = feasible_random_search(t.matrix, st.ket, theta, rng, trials=2000)
         assert brute <= adv.value + 1e-6
 
@@ -146,12 +153,11 @@ def named_effect(name, s):
     return build_measurement(name, s, mu=0.3 if name == "t-mu" else None).operator
 
 
-def forced_dual(t, rho, theta):
+def forced_dual(t, st, theta):
     """The golden-section dual, bypassing the eigenvector closed form."""
-    ket = analysis._pure_ket(rho)
-    _, chi = analysis._complement_top(t.matrix, ket)
+    _, chi = analysis._complement_top(t.matrix, st.ket)
     op_norm = float(np.abs(np.linalg.eigvalsh(t.matrix)).max())
-    return analysis._dual_worst_case(t, rho, theta, ket, chi, op_norm)
+    return analysis._dual_worst_case(t, theta, st.ket, chi, op_norm)
 
 
 @pytest.mark.parametrize("d", sorted(PROPERTY_SPECTRA))
@@ -160,7 +166,7 @@ def test_worst_case_properties_on_theta_grid(name, d):
     s = PROPERTY_SPECTRA[d]
     st = schmidt_state(s)
     t = named_effect(name, s)
-    results = [worst_case_value(t, st.density, float(theta)) for theta in THETAS]
+    results = [worst_case_value(t, st, float(theta)) for theta in THETAS]
     values = np.array([r.value for r in results])
     assert values.max() <= np.linalg.eigvalsh(t.matrix)[-1] + 1e-12
     assert np.diff(values).min() >= -1e-9
@@ -171,7 +177,7 @@ def test_worst_case_properties_on_theta_grid(name, d):
     m, _ = analysis._complement_top(t.matrix, st.ket)
     for theta, res in zip(THETAS[1:], results[1:]):
         assert abs(res.dual_mu - max(0.0, p - m)) <= 1e-12
-        assert abs(res.value - forced_dual(t, st.density, float(theta)).value) <= 1e-8
+        assert abs(res.value - forced_dual(t, st, float(theta)).value) <= 1e-8
 
 
 def test_worst_case_searches_only_off_both_gates(monkeypatch):
@@ -185,13 +191,13 @@ def test_worst_case_searches_only_off_both_gates(monkeypatch):
 
     monkeypatch.setattr(analysis, "golden_section_min", counting)
     for s in PROPERTY_SPECTRA.values():
-        rho = schmidt_state(s).density
+        st = schmidt_state(s)
         for name in MEASUREMENT_NAMES:
             t = named_effect(name, s)
             for theta in THETAS[1:]:
-                worst_case_value(t, rho, float(theta))
+                worst_case_value(t, st, float(theta))
     assert calls == []
-    worst_case_value(named_effect("corpus", S64), schmidt_state(S64).density, 0.3)
+    worst_case_value(named_effect("corpus", S64), schmidt_state(S64), 0.3)
     assert len(calls) == 1
 
 
@@ -211,29 +217,29 @@ def test_rank_one_closed_form_matches_forced_dual(kind, d, monkeypatch):
     rng = np.random.default_rng(70 + d)
     s = PROPERTY_SPECTRA[d] if kind == "product" else random_spectrum(rng, d)
     t = named_effect("product", s) if kind == "product" else random_rank_one(rng, d)
-    rho = schmidt_state(s).density
+    st = schmidt_state(s)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("rank-one effect reached the dual search")
 
     with monkeypatch.context() as patch:
         patch.setattr(analysis, "golden_section_min", forbidden)
-        results = {float(theta): worst_case_value(t, rho, float(theta)) for theta in THETAS[1:]}
+        results = {float(theta): worst_case_value(t, st, float(theta)) for theta in THETAS[1:]}
         # dual_mu is the slope dv/dtheta of the closed form.
         h = 1e-6
         for theta, res in results.items():
             if theta < 1.0:
-                hi = worst_case_value(t, rho, theta + h).value
-                lo = worst_case_value(t, rho, theta - h).value
+                hi = worst_case_value(t, st, theta + h).value
+                lo = worst_case_value(t, st, theta - h).value
                 assert abs(res.dual_mu - (hi - lo) / (2.0 * h)) <= 1e-4 * max(1.0, res.dual_mu)
     for theta, res in results.items():
-        assert abs(res.value - forced_dual(t, rho, theta).value) <= 1e-8
-        assert float(np.real(np.vdot(res.sigma_star.matrix, rho.matrix))) <= theta + 1e-12
+        assert abs(res.value - forced_dual(t, st, theta).value) <= 1e-8
+        assert float(np.real(np.vdot(res.sigma_star.matrix, st.density.matrix))) <= theta + 1e-12
 
 
 def test_product_tiny_theta_is_exact():
     theta, lam = 1e-15, 0.5
-    res = worst_case_value(named_effect("product", S55), schmidt_state(S55).density, theta)
+    res = worst_case_value(named_effect("product", S55), schmidt_state(S55), theta)
     exact = (math.sqrt(theta * lam) + math.sqrt((1.0 - theta) * (1.0 - lam))) ** 2
     assert abs(res.value - exact) <= 1e-12
 
@@ -250,21 +256,115 @@ def test_complement_eigensolve_only_where_chi_is_used(monkeypatch):
     monkeypatch.setattr(analysis, "_complement_top", counting)
     s = make_spectrum([0.5, 0.3, 0.2], 3)
     t = named_effect("product", s)
-    rho = schmidt_state(s).density
-    worst_case_value(t, rho, 0.3)
+    st = schmidt_state(s)
+    worst_case_value(t, st, 0.3)
     assert len(calls) == 0
-    worst_case_value(t, rho, 0.0)
+    worst_case_value(t, st, 0.0)
     assert len(calls) == 1
 
 
 def test_worst_case_closed_form_prints_zero_multiplier():
     # q0 and r have m = p = 1: the multiplier is exactly 0, not roundoff.
     s = make_spectrum([0.4, 0.3, 0.2, 0.1], 4)
-    rho = schmidt_state(s).density
+    st = schmidt_state(s)
     for name in ("q0", "r"):
-        adv = worst_case_value(named_effect(name, s), rho, 0.3)
+        adv = worst_case_value(named_effect(name, s), st, 0.3)
         assert adv.dual_mu == 0.0
         assert f"{adv.value:.12g}" == "1"
+
+
+# ---------------------------------------------------------------------------
+# the solver seam: eigensolve counts and the reflector compression
+# ---------------------------------------------------------------------------
+
+
+def count_eigensolves(monkeypatch):
+    """Record (kind, argument) of every numpy.linalg.eigh/eigvalsh call, the
+    way the benchmark tracer counts them: by patching the module attributes."""
+    calls = []
+    for kind in ("eigh", "eigvalsh"):
+        def counted(a, *args, _kind=kind, _fn=getattr(np.linalg, kind), **kwargs):
+            calls.append((_kind, np.array(a)))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, kind, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", MEASUREMENT_NAMES)
+def test_named_effect_eigensolves(name, monkeypatch):
+    # One D x D eigvalsh validates T; the eigenvector path adds one
+    # (D - 1)^2 eigh of the compression, the rank-one path (product) none.
+    # No call sees rho, and error_report adds nothing.
+    s = PROPERTY_SPECTRA[3]
+    st = schmidt_state(s)
+    measurement = build_measurement(name, s, mu=0.3 if name == "t-mu" else None)
+    t = measurement.operator
+    calls = count_eigensolves(monkeypatch)
+    worst_case_value(t, st, 0.3)
+    expected = [("eigvalsh", 9)] + ([] if name == "product" else [("eigh", 8)])
+    assert [(kind, a.shape[0]) for kind, a in calls] == expected
+    assert np.array_equal(calls[0][1], t.matrix)
+    del calls[:]
+    error_report(s, 0.3, measurement)
+    assert [(kind, a.shape[0]) for kind, a in calls] == expected
+
+
+def qr_complement_top(tm, ket):
+    """Reference compression: QR of [ket | I] gives an orthonormal basis of
+    the complement of ket in its last D - 1 columns."""
+    dim = ket.shape[0]
+    q, _ = np.linalg.qr(np.concatenate([ket[:, None], np.eye(dim, dtype=complex)], axis=1))
+    basis = q[:, 1:dim]
+    cw, cv = np.linalg.eigh(basis.conj().T @ tm @ basis)
+    return float(cw[-1]), basis @ cv[:, -1]
+
+
+SPECTRUM_FAMILIES = {
+    "dirichlet": lambda d: random_spectrum(np.random.default_rng(80 + d), d),
+    "uniform": uniform_spectrum,
+    "near-product": lambda d: make_spectrum([1.0 - 1e-3 * (d - 1)] + [1e-3] * (d - 1), d),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SPECTRUM_FAMILIES))
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_reflector_compression_matches_qr(family, d):
+    s = SPECTRUM_FAMILIES[family](d)
+    schmidt_ket = schmidt_state(s).ket
+    # A Schmidt ket is real; the phased copy exercises the complex pivot.
+    phases = np.exp(2j * np.pi * np.random.default_rng(d).random(d * d))
+    for name in MEASUREMENT_NAMES:
+        tm = named_effect(name, s).matrix
+        for ket in (schmidt_ket, phases * schmidt_ket):
+            m, chi = analysis._complement_top(tm, ket)
+            assert abs(m - qr_complement_top(tm, ket)[0]) <= 1e-13
+            # chi may differ inside a degenerate top eigenspace, so check that
+            # it is a unit top eigenvector of the compression, not equality.
+            assert abs(np.linalg.norm(chi) - 1.0) <= 1e-13
+            assert abs(np.vdot(ket, chi)) <= 1e-13
+            t_chi = tm @ chi
+            assert np.linalg.norm(t_chi - np.vdot(ket, t_chi) * ket - m * chi) <= 1e-12
+
+
+def scaled_off_span(t, factor):
+    """A twirl-invariant effect with the b-part of t scaled by factor; PPT
+    for some factors and seeds and not for others."""
+    ab = ab_decompose(t)
+    return BipartiteOperator(t.local_dim, ABDecomposition(ab.a, factor * ab.b).reassemble())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_ppt_form_matches_spectral_ppt(d):
+    effects = [named_effect(name, PROPERTY_SPECTRA[d]) for name in MEASUREMENT_NAMES]
+    effects = [t for t in effects if twirl_defect(t) <= 1e-10]
+    assert len(effects) == len(MEASUREMENT_NAMES) - 1  # all but q0
+    for seed in range(20):
+        t = random_phi_symmetric_ppt(d, 900 + seed)
+        effects += [t, scaled_off_span(t, 0.3), scaled_off_span(t, 0.7)]
+    decisions = [ab_decompose(t).ppt_form() for t in effects]
+    assert decisions == [validate_povm_element(t).ppt for t in effects]
+    assert True in decisions and False in decisions
 
 
 # ---------------------------------------------------------------------------
@@ -403,16 +503,17 @@ def test_verifier_corpus(d):
 
 def test_priors_half_reduces_to_report():
     t = build_measurement("t-tilde", S64)
-    rho = schmidt_state(S64).density
-    weighted = prior_weighted_worst_case(t.operator, rho, 0.0, 0.5)
+    st = schmidt_state(S64)
     report = error_report(S64, 0.0, t)
+    weighted = prior_weighted_worst_case(t.operator, st, 0.0, 0.5, report.worst_case_value)
     assert abs(weighted - report.p_err) <= 1e-12
 
 
 def test_priors_small_pi0_floor():
     t = build_measurement("t-tilde", S64)
-    rho = schmidt_state(S64).density
-    value = prior_weighted_worst_case(t.operator, rho, 0.0, 0.01)
+    st = schmidt_state(S64)
+    worst = worst_case_value(t.operator, st, 0.0).value
+    value = prior_weighted_worst_case(t.operator, st, 0.0, 0.01, worst)
     floor = min(0.01, 0.99 * 2.0 * 0.6 * (2.0 / 3.0) / (2.0 + 7.0 * np.sqrt(2.0 / 3.0)))
     assert abs(floor - 0.01) <= 1e-12
     assert value >= floor - 1e-9
@@ -420,14 +521,27 @@ def test_priors_small_pi0_floor():
 
 def test_priors_near_one_limit():
     t = build_measurement("t-tilde", S64)
-    rho = schmidt_state(S64).density
-    value = prior_weighted_worst_case(t.operator, rho, 0.0, 1.0 - 1e-9)
+    st = schmidt_state(S64)
+    worst = worst_case_value(t.operator, st, 0.0).value
+    value = prior_weighted_worst_case(t.operator, st, 0.0, 1.0 - 1e-9, worst)
     # One-sided measurement: only the vanishing-weight adversary term is left.
     assert value <= 1e-9
 
 
+def test_priors_floor_catches_a_value_below_it(monkeypatch):
+    # The floor check runs no eigensolve and no solve; fed a worst case of 0
+    # it raises for the PPT t-tilde and is skipped for the non-PPT helstrom.
+    st = schmidt_state(S64)
+    calls = count_eigensolves(monkeypatch)
+    with pytest.raises(NumericalFailureError):
+        prior_weighted_worst_case(build_measurement("t-tilde", S64).operator, st, 0.0, 0.5, 0.0)
+    helstrom = build_measurement("helstrom", S64).operator
+    assert abs(prior_weighted_worst_case(helstrom, st, 0.0, 0.5, 0.0)) <= 1e-15
+    assert calls == []
+
+
 def test_priors_range_check():
     t = build_measurement("t-tilde", S64)
-    rho = schmidt_state(S64).density
+    st = schmidt_state(S64)
     with pytest.raises(ValidationError):
-        prior_weighted_worst_case(t.operator, rho, 0.0, 0.0)
+        prior_weighted_worst_case(t.operator, st, 0.0, 0.0, 0.375)

@@ -6,9 +6,10 @@ import signal
 import numpy as np
 import pytest
 
-from loccdetect import simulator
+from loccdetect import analysis, cli, simulator
 from loccdetect.cli import run
 from loccdetect.measurements import MEASUREMENT_NAMES
+from loccdetect.operators import BipartiteOperator, write_operator
 
 
 def run_capture(capsys, argv):
@@ -42,6 +43,23 @@ def test_bounds_with_priors(capsys):
     assert code == 0
     fields = parse_records(out)
     assert abs(float(fields["prior_weighted"]) - float(fields["p_err"])) <= 1e-12
+
+
+def test_bounds_with_priors_solves_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return worst_case_value(*args)
+
+    worst_case_value = analysis.worst_case_value
+    monkeypatch.setattr(analysis, "worst_case_value", counting)
+    monkeypatch.setattr(cli, "worst_case_value", counting)
+    argv = ["bounds", "--schmidt", "0.5,0.3,0.2", "--theta", "0", "--priors", "0.3"]
+    code, out = run_capture(capsys, argv)
+    assert code == 0
+    assert "prior_weighted" in parse_records(out)
+    assert len(calls) == 1
 
 
 def test_chernoff_output(capsys):
@@ -210,6 +228,18 @@ def test_validate_bare_number_entries_exit_2(tmp_path, capsys):
     path.write_text('{"local_dim": 2, "entries": [' + ", ".join(["1.0"] * 16) + "]}")
     code, _ = run_capture(capsys, ["validate", "--file", str(path)])
     assert code == 2
+
+
+def test_adversary_dimension_mismatch_exits_2(tmp_path, capsys):
+    effect = tmp_path / "effect.json"
+    write_operator(BipartiteOperator(3, 0.5 * np.eye(9)), str(effect))
+    argv = ["adversary", "--schmidt", "0.6,0.4", "--theta", "0.3", "--measurement-file",
+            str(effect), "--sigma-out", str(tmp_path / "sigma.json")]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert not (tmp_path / "sigma.json").exists()
 
 
 def test_unknown_flag_exits_2():

@@ -177,3 +177,14 @@ def test_operator_json_rejects_wrong_length():
     text = operator_to_json(op).replace("2", "3", 1)  # corrupt local_dim
     with pytest.raises(ValidationError):
         operator_from_json(text)
+
+
+def test_operator_json_checks_format_tag():
+    import json
+
+    doc = json.loads(operator_to_json(BipartiteOperator(2, np.eye(4))))
+    del doc["format"]
+    assert np.array_equal(operator_from_json(json.dumps(doc)).matrix, np.eye(4))
+    doc["format"] = "nonsense"
+    with pytest.raises(ValidationError, match="nonsense"):
+        operator_from_json(json.dumps(doc))

@@ -113,8 +113,7 @@ def test_worst_case_sigma_matches_adversary_value():
     from loccdetect.analysis import worst_case_value
 
     sigma = make_sigma("worst-case", S64, "t-tilde", 0.2)
-    rho = schmidt_state(S64).density
-    adv = worst_case_value(build_measurement("t-tilde", S64).operator, rho, 0.2)
+    adv = worst_case_value(build_measurement("t-tilde", S64).operator, schmidt_state(S64), 0.2)
     res = simulate(ShotConfig("t-tilde", S64, sigma, N, 9))
     assert abs(res.analytic - adv.value) <= 1e-6
     assert abs(res.estimate - res.analytic) <= res.ci_halfwidth
@@ -317,4 +316,20 @@ def test_multi_batch_tally_is_pinned(name, accepts):
     # root seed, spawned in order, so the tally is fixed bit for bit.
     s = make_spectrum([0.5, 0.3, 0.2], 3)
     sigma = make_sigma("orthogonal-uniform", s)
+    assert simulate(ShotConfig(name, s, sigma, 50_000, 2024)).accepts == accepts
+
+
+@pytest.mark.parametrize(
+    "name,accepts",
+    [("t-tilde", 19914), ("t-tilde2", 19118), ("r", 18359), ("q", 20772), ("q0", 18280),
+     ("product", 9708)],
+)
+def test_multi_batch_tally_on_rank3_sigma_is_pinned(name, accepts):
+    # A seeded random rank-3 sigma is not invariant under the phase
+    # rotations, so each q and q0 cell has its own acceptance and the
+    # tally pins the rotation draw as well as the cell draw.
+    s = make_spectrum([0.5, 0.3, 0.2], 3)
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
+    sigma = BipartiteOperator(3, g @ g.conj().T / np.vdot(g, g).real)
     assert simulate(ShotConfig(name, s, sigma, 50_000, 2024)).accepts == accepts
