@@ -342,8 +342,8 @@ class ErrorReport:
     """All error quantities for one (spectrum, theta, measurement) instance.
 
     ``worst_case_value`` is sup Tr T sigma, ``p_err`` the symmetric-prior
-    error ((Tr (I-T) rho) + worst_case_value) / 2.  ``upper_1way`` and
-    ``upper_2way`` are the mixture-measurement guarantees
+    error ((Tr (I-T) rho) + worst_case_value) / 2, clipped to [0, 1].
+    ``upper_1way`` and ``upper_2way`` are the mixture-measurement guarantees
     (theta + lam)/(2 (1 + lam)) and (theta + lam beta)/(2 (1 + lam beta));
     ``lower_thm2`` is the blind-spot floor theta/2 + (1 - theta)
     lam alpha^2/(2 + 7 alpha) and ``lower_simple`` the orthogonal-adversary
@@ -422,7 +422,9 @@ def error_report(
     state = schmidt_state(s)
     accept = float(np.real(np.vdot(state.ket, measurement.operator.matrix @ state.ket)))
     adversary = worst_case_value(measurement.operator, state, theta)
-    p_err = 0.5 * ((1.0 - accept) + adversary.value)
+    # Clipped: at theta = 0 an acceptance that rounds above 1 would
+    # otherwise print a probability of about -1e-16.
+    p_err = min(max(0.5 * ((1.0 - accept) + adversary.value), 0.0), 1.0)
     lower_thm2 = bound_lower_blindspot(s.lam, s.alpha, theta)
     lower_simple = bound_lower_simple(s.lam, s.d)
     report = ErrorReport(

@@ -21,6 +21,11 @@ from .states import SchmidtSpectrum, schmidt_state, tensor_power_spectrum
 
 FIG2_LEVELS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
+#: Largest row count a table accepts: copies of a rate table, grid points
+#: of figure 1 and grid_size**2 points of figure 2.  Each table at the cap
+#: takes 3-5 s and at most 300 MB on one x86-64 core.
+MAX_ROWS = 10**6
+
 
 @dataclass
 class RateTable:
@@ -58,13 +63,16 @@ class RateTable:
 
 
 def rate_rows(lam: float, alpha: float, theta: float, n_max: int) -> RateTable:
-    """Closed-form rate table from the scalar parameters alone."""
+    """Closed-form rate table from the scalar parameters alone.
+
+    ``n_max`` above ``MAX_ROWS`` is refused before anything is allocated.
+    """
     if not 0.0 <= theta <= 1.0:
         raise ValidationError(f"theta must lie in [0, 1], got {theta!r}")
     if not 0.0 < lam <= 1.0:
         raise ValidationError(f"lam must lie in (0, 1], got {lam!r}")
-    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
-        raise ValidationError(f"n_max must be an integer >= 1, got {n_max!r}")
+    if not isinstance(n_max, (int, np.integer)) or not 1 <= n_max <= MAX_ROWS:
+        raise ValidationError(f"n_max must be an integer in [1, {MAX_ROWS}], got {n_max!r}")
     n = np.arange(1, int(n_max) + 1)
     with np.errstate(under="ignore"):
         lam_n = lam**n.astype(float)
@@ -212,12 +220,12 @@ def figure1_data(d: int, alpha: float, grid_size: int = 100) -> dict[str, np.nda
 
     lam runs over [1/d, 1/(1 + alpha^2)] inclusive; the range is empty (a
     parameter error) when alpha^2 + 1 > d.  d must be at least 2, as for
-    every bipartite system.
+    every bipartite system.  ``grid_size`` may not exceed ``MAX_ROWS``.
     """
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise ValidationError(f"local dimension must be an integer >= 2, got {d!r}")
-    if grid_size < 2:
-        raise ValidationError(f"grid size must be >= 2, got {grid_size}")
+    if not 2 <= grid_size <= MAX_ROWS:
+        raise ValidationError(f"grid size must lie in [2, {MAX_ROWS}], got {grid_size}")
     lo, hi = 1.0 / d, 1.0 / (1.0 + alpha**2)
     if lo > hi:
         raise ValidationError(
@@ -248,13 +256,17 @@ def figure2_data(n, grid_size: int = 200) -> dict[str, np.ndarray]:
     rule applies: membership iff max(theta, lam) <= L, with max(theta, lam)
     reported as the value column.  Boundary membership is decided with a
     1e-12 tolerance so exactly-on-contour grid points are classified
-    stably regardless of linspace rounding.
+    stably regardless of linspace rounding.  The grid has grid_size**2
+    points, at most ``MAX_ROWS``.
     """
     infinite = n in (math.inf, None)
     if not infinite and (not isinstance(n, (int, np.integer)) or n < 1):
         raise ValidationError(f"copy count must be a positive integer or inf, got {n!r}")
-    if grid_size < 2:
-        raise ValidationError(f"grid size must be >= 2, got {grid_size}")
+    if not 2 <= grid_size <= math.isqrt(MAX_ROWS):
+        raise ValidationError(
+            f"grid size must lie in [2, {math.isqrt(MAX_ROWS)}] (at most {MAX_ROWS} rows), "
+            f"got {grid_size}"
+        )
     axis = np.linspace(0.0, 1.0, grid_size)
     lam, theta = [g.reshape(-1) for g in np.meshgrid(axis, axis, indexing="ij")]
     out: dict[str, np.ndarray] = {"lambda": lam, "theta": theta}

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 validation/usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -200,7 +201,13 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``run``.
+
+    Every default is immutable and ``parse_args`` fills a fresh namespace,
+    so one parser serves any number of requests.
+    """
     parser = argparse.ArgumentParser(
         prog="loccdetect",
         description="Worst-case error analysis and simulation of local tests "
@@ -291,9 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,8 @@ index convention ``|i (x) j> -> i*d + j``; every module in the package relies
 on that convention.  This module provides the shared primitives: the
 operator type with its entry cap, the partial transpose on the first tensor
 factor, POVM-element and density-matrix validation and the operator file
-format.
+format, whose writer prints the bytes of ``json.dumps`` at a cost that
+follows the nonzero entries.
 """
 
 from __future__ import annotations
@@ -168,17 +169,42 @@ def require_density_matrix(op: BipartiteOperator, what: str = "state") -> None:
 # tag that must read FILE_FORMAT_TAG when present.  JSON floats use the
 # shortest round-tripping decimal representation, so read(write(op)) is
 # bit-exact.
+#
+# The writer's bytes equal ``json.dumps`` of the document, but its cost
+# follows the nonzero pairs: it walks the pairs in chunks of _CHUNK_PAIRS,
+# prints an all-(+0.0) pair as a constant, and formats each distinct value
+# of a chunk's other pairs once.  ``repr`` is json's float encoding, and
+# BipartiteOperator admits finite entries only.
 
 FILE_FORMAT_TAG = "bipartite-operator"
 
+_CHUNK_PAIRS = 4096
+_ZERO_PAIR = "[0.0, 0.0]"
 
-def operator_to_json(t: BipartiteOperator) -> str:
-    flat = t.matrix.reshape(-1)
-    entries = np.stack([flat.real, flat.imag], 1).tolist()
-    doc = {"format": FILE_FORMAT_TAG, "local_dim": t.local_dim, "entries": entries}
+
+def _json_chunks(t: BipartiteOperator):
+    """Yield the operator file text in pieces whose join is json.dumps(doc)."""
+    doc = {"format": FILE_FORMAT_TAG, "local_dim": t.local_dim, "entries": []}
     if t.meta:
         doc["meta"] = t.meta
-    return json.dumps(doc)
+    # The format tag and local_dim hold no "[]", so the first one is entries.
+    head, _, tail = json.dumps(doc).partition("[]")
+    yield head + "["
+    bits = t.matrix.reshape(-1).view(np.uint64).reshape(-1, 2)
+    for start in range(0, len(bits), _CHUNK_PAIRS):
+        chunk = bits[start:start + _CHUNK_PAIRS]
+        nonzero = np.flatnonzero(chunk[:, 0] | chunk[:, 1])
+        values, index = np.unique(chunk[nonzero], return_inverse=True)
+        names = list(map(repr, values.view(np.float64).tolist()))
+        text = [_ZERO_PAIR] * len(chunk)
+        for j, (re, im) in zip(nonzero.tolist(), index.reshape(-1, 2).tolist()):
+            text[j] = f"[{names[re]}, {names[im]}]"
+        yield (", " if start else "") + ", ".join(text)
+    yield "]" + tail
+
+
+def operator_to_json(t: BipartiteOperator) -> str:
+    return "".join(_json_chunks(t))
 
 
 def operator_from_json(text: str) -> BipartiteOperator:
@@ -210,7 +236,7 @@ def operator_from_json(text: str) -> BipartiteOperator:
 
 def write_operator(t: BipartiteOperator, path: str) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(operator_to_json(t))
+        fh.writelines(_json_chunks(t))
         fh.write("\n")
 
 

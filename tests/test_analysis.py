@@ -406,6 +406,18 @@ def test_report_guarantee_equalities_on_theta_grid(theta):
         assert r1.helstrom <= r1.p_err + 1e-12
 
 
+def test_report_p_err_is_a_probability():
+    # At theta = 0 helstrom's acceptance can round above 1; p_err must not
+    # then print as a negative number.
+    rng = np.random.default_rng(67)
+    for d in range(2, 9):
+        for s in [random_spectrum(rng, d) for _ in range(3)] + [uniform_spectrum(d)]:
+            for name in MEASUREMENT_NAMES:
+                for theta in (0.0, 1.0):
+                    r = error_report(s, theta, build_measurement(name, s, mu=0.5))
+                    assert 0.0 <= r.p_err <= 1.0, (d, name, theta, r.p_err)
+
+
 @pytest.mark.parametrize("name", ["q0", "q", "r", "t-tilde", "t-tilde2", "product"])
 def test_report_never_beats_unrestricted_baseline(name):
     # Locally implementable (PPT) effects cannot undercut theta/2.

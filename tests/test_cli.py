@@ -1,12 +1,14 @@
 """Command-line interface: outputs, formats, exit codes, round trips."""
 
+import argparse
 import math
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from loccdetect import analysis, cli, simulator
+from loccdetect import analysis, asymptotics, cli, simulator
 from loccdetect.cli import run
 from loccdetect.measurements import MEASUREMENT_NAMES
 from loccdetect.operators import BipartiteOperator, write_operator
@@ -160,6 +162,37 @@ def test_simulate_refuses_shots_above_cap(monkeypatch, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: shots must lie in [1, ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["asymptotic", "--lambda", "0.6", "--alpha", "0.5", "--theta", "0.3",
+         "--n-max", str(asymptotics.MAX_ROWS + 1)],
+        ["asymptotic", "--schmidt", "0.6,0.4", "--theta", "0.3",
+         "--n-max", str(asymptotics.MAX_ROWS + 1)],
+        ["figure2", "--n", "2", "--grid", str(math.isqrt(asymptotics.MAX_ROWS) + 1)],
+        ["figure2", "--n", "inf", "--grid", str(math.isqrt(asymptotics.MAX_ROWS) + 1)],
+        ["figure1", "--dim", "2", "--alpha", "0.5", "--grid", str(asymptotics.MAX_ROWS + 1)],
+    ],
+)
+def test_tables_past_their_cap_exit_2_before_allocating(argv, monkeypatch, capsys):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table axis was allocated past its cap")
+
+    monkeypatch.setattr(np, "arange", no_table)
+    monkeypatch.setattr(np, "linspace", no_table)
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "must" in captured.err
+    assert peak < 2**20
 
 
 def test_asymptotic_csv(tmp_path, capsys):
@@ -319,3 +352,57 @@ def test_bad_input_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+SHARED_PARSER = cli.build_parser
+
+
+def run_both_parsers(monkeypatch, capsys, argv):
+    """(exit code, stdout, stderr) from the shared parser, then from a fresh one."""
+    outcomes = []
+    for parser in (SHARED_PARSER, SHARED_PARSER.__wrapped__):
+        monkeypatch.setattr(cli, "build_parser", parser)
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    monkeypatch.setattr(cli, "build_parser", SHARED_PARSER)
+    return outcomes
+
+
+def test_shared_parser_matches_a_fresh_one_across_requests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.build_parser() is cli.build_parser()
+    steps = [
+        ["bounds", "--schmidt", "0.6,0.4", "--theta", "0.3", "--priors", "0.3"],
+        ["bounds", "--schmidt", "0.6,0.4", "--theta", "0.3"],
+        ["adversary", "--schmidt", "0.6,0.4", "--theta", "0.3", "--sigma-out", "given.json"],
+        ["bounds", "--schmidt", "0.6,0.4", "--theta", "0.3", "--bogus"],
+        ["adversary", "--schmidt", "0.5,0.3,0.2", "--theta", "0.1", "--measurement", "q"],
+        ["simulate", "--schmidt", "0.6,0.4", "--shots", "1000", "--seed", "3"],
+        ["figure2", "--n", "abc"],
+        ["bounds", "--schmidt", "0.5,0.5", "--theta", "0"],
+    ]
+    codes = []
+    for argv in steps:
+        shared, fresh = run_both_parsers(monkeypatch, capsys, argv)
+        assert shared == fresh, argv
+        codes.append(shared[0])
+        if argv[0] == "bounds":
+            assert ("prior_weighted = " in shared[1]) == ("--priors" in argv)
+            assert "priors" not in shared[1] or "--priors" in argv
+    assert codes == [0, 0, 0, 2, 0, 0, 2, 0]
+    assert (tmp_path / "given.json").exists() and (tmp_path / "sigma_star.json").exists()
+
+
+def test_parser_defaults_are_immutable():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            assert action.default is None or isinstance(
+                action.default, (str, int, float, bool)), (name, action.dest)
+        for key, value in sub._defaults.items():
+            assert callable(value), (name, key)

@@ -1,8 +1,12 @@
 """Operator algebra primitives: entry cap, partial transpose, validation, file I/O."""
 
+import json
+
 import numpy as np
 import pytest
 
+from loccdetect import operators
+from loccdetect.analysis import worst_case_value
 from loccdetect.errors import ContractError, SizeCapError, ValidationError
 from loccdetect.operators import (
     BipartiteOperator,
@@ -13,7 +17,8 @@ from loccdetect.operators import (
     validate_povm_element,
     write_operator,
 )
-from loccdetect.states import make_spectrum, schmidt_state
+from loccdetect.measurements import MEASUREMENT_NAMES, build_measurement
+from loccdetect.states import make_spectrum, schmidt_state, uniform_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +149,6 @@ def seeded_operator_with_negative_zero():
 
 def test_operator_json_matches_per_entry_writer():
     # The array writer prints exactly what a per-entry float() loop prints.
-    import json
-
     op = seeded_operator_with_negative_zero()
     entries = [[float(z.real), float(z.imag)] for z in op.matrix.reshape(-1)]
     expected = json.dumps({"format": "bipartite-operator", "local_dim": 3, "entries": entries})
@@ -165,8 +168,6 @@ def test_operator_json_roundtrip_keeps_signed_zeros():
     "entries", [[1.0] * 16, [[1.0, 0.0, 0.0]] * 16, [["a", 0.0]] * 16, [[1.0, None]] * 16]
 )
 def test_operator_json_rejects_malformed_entries(entries):
-    import json
-
     text = json.dumps({"local_dim": 2, "entries": entries})
     with pytest.raises(ValidationError):
         operator_from_json(text)
@@ -180,11 +181,94 @@ def test_operator_json_rejects_wrong_length():
 
 
 def test_operator_json_checks_format_tag():
-    import json
-
     doc = json.loads(operator_to_json(BipartiteOperator(2, np.eye(4))))
     del doc["format"]
     assert np.array_equal(operator_from_json(json.dumps(doc)).matrix, np.eye(4))
     doc["format"] = "nonsense"
     with pytest.raises(ValidationError, match="nonsense"):
         operator_from_json(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# the writer prints the bytes of json.dumps
+# ---------------------------------------------------------------------------
+
+
+def reference_json(t):
+    flat = t.matrix.reshape(-1)
+    doc = {"format": "bipartite-operator", "local_dim": t.local_dim,
+           "entries": np.stack([flat.real, flat.imag], 1).tolist()}
+    if t.meta:
+        doc["meta"] = t.meta
+    return json.dumps(doc)
+
+
+SPECTRUM_FAMILIES = {
+    "dirichlet": lambda d: make_spectrum(
+        np.sort(np.random.default_rng(90 + d).dirichlet(np.ones(d)))[::-1], d),
+    "uniform": uniform_spectrum,
+    "near-product": lambda d: make_spectrum([1.0 - 1e-3 * (d - 1)] + [1e-3] * (d - 1), d),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SPECTRUM_FAMILIES))
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_writer_matches_json_dumps_on_sigma_star(family, d):
+    s = SPECTRUM_FAMILIES[family](d)
+    state = schmidt_state(s)
+    for name in MEASUREMENT_NAMES:
+        effect = build_measurement(name, s, mu=0.5).operator
+        for theta in (0.0, 1e-15, 0.3, 1.0):
+            sigma = worst_case_value(effect, state, theta).sigma_star
+            assert operator_to_json(sigma) == reference_json(sigma), (name, theta)
+
+
+def pairs_operator(d, pairs, meta=None):
+    """Operator whose flat entries are zero except the given {index: (re, im)}."""
+    flat = np.zeros(d**4, dtype=complex)
+    view = flat.view(np.float64).reshape(-1, 2)
+    for index, (re, im) in pairs.items():
+        view[index] = re, im
+    return BipartiteOperator(d, flat.reshape(d * d, d * d), meta=meta or {})
+
+
+NOTATION_EDGES = [5e-324, -5e-324, 1e16, 9999999999999998.0, 1e-5, 1e-4, -1e16, 0.1]
+
+
+def writer_cases():
+    rng = np.random.default_rng(5)
+    dense = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    yield "dense", BipartiteOperator(4, dense)
+    yield "dense-meta", BipartiteOperator(4, dense, meta={"origin": "test", "seed": [5, 1e-5]})
+    yield "zero", BipartiteOperator(3, np.zeros((9, 9)))
+    yield "zero-meta", BipartiteOperator(3, np.zeros((9, 9)), meta={"k": "\u00e9\"q\""})
+    yield "negative-zero", pairs_operator(2, {0: (-0.0, 0.0), 1: (0.0, -0.0), 15: (-0.0, -0.0)})
+    yield "notation", pairs_operator(
+        2, {i: (v, NOTATION_EDGES[-1 - i]) for i, v in enumerate(NOTATION_EDGES)})
+    chunk = operators._CHUNK_PAIRS
+    assert 2**4 < chunk == 8**4 < 9**4 and 9**4 % chunk
+    for d in (2, 8, 9):
+        last = d**4 - 1
+        ends = {0: (1.5, 0.0), min(chunk - 1, last): (0.0, -2.5), last: (0.25, 0.75)}
+        if last >= chunk:
+            ends[chunk] = (3.0, 3.0)
+        yield f"chunk-ends-{d}", pairs_operator(d, ends)
+        yield f"repeats-{d}", pairs_operator(d, {i: (0.5, -0.5) for i in range(0, d**4, 7)})
+
+
+@pytest.mark.parametrize("label, op", list(writer_cases()))
+def test_writer_matches_json_dumps(label, op, tmp_path):
+    text = operator_to_json(op)
+    assert text == reference_json(op)
+    path = tmp_path / "op.json"
+    write_operator(op, str(path))
+    assert path.read_text(encoding="ascii") == text + "\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 16, 17])
+def test_writer_matches_json_dumps_at_any_chunk_size(chunk, monkeypatch):
+    rng = np.random.default_rng(chunk)
+    m = rng.standard_normal((16, 16)) * (rng.random((16, 16)) < 0.3)
+    op = BipartiteOperator(4, m + 0j, meta={"chunk": chunk})
+    monkeypatch.setattr(operators, "_CHUNK_PAIRS", chunk)
+    assert operator_to_json(op) == reference_json(op)
